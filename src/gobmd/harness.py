@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 import statistics
 import sys
@@ -27,6 +28,7 @@ from .solver import SolverOptions, solve_gobmd, solve_incremental
 
 DETECTORS = ("gobmd", "incremental", "exhaustive", "zf")
 EXPERIMENTS = ("ber-sweep", "runtime-sweep", "ratio-sweep", "phase-grid")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 RECORD_COLUMNS = [
     "k_users",
@@ -180,12 +182,30 @@ def _run_points(cfg: ExperimentConfig, points: list[tuple[dict, GenConfig]]) -> 
     if cfg.workers == 1:
         results = map(_trial_task, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_trial_task, tasks))
+        # One BLAS thread per worker, or the workers' BLAS pools oversubscribe
+        # the cores. Spawned workers read these when they import numpy.
+        saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+        os.environ.update(_worker_blas_env(cfg.workers))
+        try:
+            with ProcessPoolExecutor(cfg.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                results = list(pool.map(_trial_task, tasks))
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    os.environ.pop(k, None)
+                else:
+                    os.environ[k] = v
     records = []
     for rows in results:
         records.extend(rows)
     return records
+
+
+def _worker_blas_env(workers: int) -> dict:
+    """BLAS thread variables the trials run under."""
+    if workers == 1:
+        return {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    return dict.fromkeys(BLAS_THREAD_VARS, "1")
 
 
 def _metadata(cfg: ExperimentConfig) -> dict:
@@ -199,28 +219,23 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
+        "cpu_count": os.cpu_count(),
+        "blas_threads": _worker_blas_env(cfg.workers),
     }
 
 
 def _mean_ber_rows(cfg, records, keys) -> list[dict]:
-    out = []
-    seen = []
+    bers = {}  # (point..., detector) -> BERs, in first-seen order
     for row in records:
-        key = tuple(row[k] for k in keys) + (row["detector"],)
-        if key not in seen:
-            seen.append(key)
-    for key in seen:
-        rows = [
-            r
-            for r in records
-            if tuple(r[k] for k in keys) + (r["detector"],) == key and r["ber"] is not None
-        ]
-        if cfg.only_optimal:
-            rows = [r for r in rows if r["status"] == "optimal"]
+        group = bers.setdefault(tuple(row[k] for k in keys) + (row["detector"],), [])
+        if row["ber"] is not None and not (cfg.only_optimal and row["status"] != "optimal"):
+            group.append(row["ber"])
+    out = []
+    for key, values in bers.items():
         summary = dict(zip(keys, key[:-1]))
         summary["detector"] = key[-1]
-        summary["mean_ber"] = float(np.mean([r["ber"] for r in rows])) if rows else None
-        summary["trials"] = len(rows)
+        summary["mean_ber"] = float(np.mean(values)) if values else None
+        summary["trials"] = len(values)
         out.append(summary)
     return out
 

@@ -1,4 +1,4 @@
-"""Dense LP solver for the node relaxations: minimize sum(w) under tangent rows and box bounds.
+"""Node-LP solver: minimize sum(w) under tangent rows and box bounds.
 
 Each problem has K box-bounded variables x, N variables w bounded below, and
 rows of the form w_i - a^T x >= b. Solved by a bounded-variable dual simplex:
@@ -6,6 +6,17 @@ the all-slack basis is dual feasible (costs are 0 on x and slacks, +1 on w at
 its lower bound), and both row addition and bound tightening preserve dual
 feasibility of a previously optimal basis, so warm starts re-enter the method
 directly. No big-M, no slack duplication of the box.
+
+The basis algebra uses the row structure: each row has exactly one w, with
+coefficient +1, and its own slack. A refactor drops the rows whose slack is
+basic and eliminates every basic w_i through one key row (its first tight
+row), in the manner of generalized upper bounding (Dantzig & Van Slyke, 1967).
+What remains is a working matrix of at most K x K in the basic x; only that is
+inverted, and the explicit basis inverse is assembled from it with one
+(m x p)(p x m) product. Between refactors the inverse takes an in-place BLAS
+rank-1 update per pivot, and the reduced costs follow the pivot row instead
+of being recomputed; both are rebuilt exactly at every refactor, including
+the last one before the optimality certificate.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dger as _dger
 
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
@@ -156,23 +168,12 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
         d = np.concatenate([np.zeros(K), np.ones(N)])
         return LpSolution("optimal", x, w, float(w.sum()), token, np.zeros(0), d, 0)
 
-    n = K + N + m
-    c = np.zeros(n)
-    c[K : K + N] = 1.0
-    lower = np.concatenate([p.x_lower, p.w_lower, np.zeros(m)])
-    upper = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
-    A = np.zeros((m, n))
-    A[:, :K] = -p.row_coef
-    A[np.arange(m), K + p.row_w] = 1.0
-    A[np.arange(m), K + N + np.arange(m)] = -1.0
-    b = p.row_off
-
-    basis, vstat = _load_start(p, warm, n)
-    core = _DualSimplex(A, b, c, lower, upper)
+    basis, vstat = _load_start(p, warm, K + N + m)
+    core = _DualSimplex(p)
     try:
         status, iters = core.run(basis, vstat, max_iter)
     except SingularBasisError:
-        basis, vstat = _load_start(p, None, n)  # cold restart
+        basis, vstat = _load_start(p, None, K + N + m)  # cold restart
         status, iters = core.run(basis, vstat, max_iter)
 
     x = core.v[:K].copy()
@@ -205,13 +206,27 @@ def _load_start(p: LpProblem, warm: BasisToken | None, n: int):
 
 
 class _DualSimplex:
-    """Bounded-variable dual simplex on A v = b, l <= v <= u, min c.v."""
+    """Bounded-variable dual simplex on A v = b, l <= v <= u, min c.v, for A = [-coef | E_w | -I].
 
-    def __init__(self, A, b, c, lower, upper):
-        self.A, self.b, self.c = A, b, c
-        self.l, self.u = lower, upper
-        self.m, self.n = A.shape
-        self.fixed = upper - lower <= 0.0  # can never leave their bound
+    Columns are ordered (x, w, slack); row t has -coef[t] on x, +1 on
+    w_{row_w[t]} and -1 on its own slack. The explicit inverse ``Binv`` is kept
+    in column-major order so the rank-1 update runs in place.
+    """
+
+    def __init__(self, p: LpProblem):
+        m, K, N = p.n_rows, p.n_x, p.n_w
+        self.m, self.n, self.K, self.N = m, K + N + m, K, N
+        self.row_w, self.coef = p.row_w, p.row_coef
+        self.c = np.zeros(self.n)
+        self.c[K : K + N] = 1.0
+        self.l = np.concatenate([p.x_lower, p.w_lower, np.zeros(m)])
+        self.u = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
+        A = np.zeros((m, self.n))
+        A[:, :K] = -p.row_coef
+        A[np.arange(m), K + p.row_w] = 1.0
+        A[np.arange(m), K + N + np.arange(m)] = -1.0
+        self.A, self.b = A, p.row_off
+        self.fixed = self.u - self.l <= 0.0  # can never leave their bound
 
     def run(self, basis, vstat, max_iter):
         self.basis = np.array(basis, dtype=int)
@@ -236,9 +251,7 @@ class _DualSimplex:
                 r = int(np.argmax(viol))
             leaving_low = below[r] >= above[r]
 
-            rho = self.Binv[r]
-            alpha = rho @ self.A
-            self._duals()
+            alpha = self.Binv[r] @ self.A
             if leaving_low:
                 elig = ((self.vstat == AT_LOWER) & (alpha < -PIV_TOL)) | (
                     (self.vstat == AT_UPPER) & (alpha > PIV_TOL)
@@ -250,6 +263,7 @@ class _DualSimplex:
             elig &= ~self.fixed
             idx = np.flatnonzero(elig)
             if idx.size == 0:
+                self._duals()
                 return "infeasible", it
             ratios = np.abs(self.d[idx]) / np.abs(alpha[idx])
             theta = ratios.min()
@@ -276,10 +290,13 @@ class _DualSimplex:
             self.vstat[leave] = AT_LOWER if leaving_low else AT_UPPER
             self.vstat[q] = BASIC
             self.basis[r] = q
-            # rank-1 update of the basis inverse
+            # reduced costs follow the pivot row; they are recomputed exactly at every refactor
+            self.d -= (self.d[q] / alpha[q]) * alpha
+            self.d[q] = 0.0
+            # rank-1 update of the basis inverse, in place
             self.Binv[r] /= piv
             col[r] = 0.0
-            self.Binv -= col[:, None] * self.Binv[r]
+            self.Binv = _dger(-1.0, col, self.Binv[r], a=self.Binv, overwrite_a=True)
             since_refactor += 1
             if since_refactor >= REFACTOR_EVERY:
                 self._refactor()
@@ -288,17 +305,77 @@ class _DualSimplex:
         return "iteration-limit", max_iter
 
     def _refactor(self):
-        B = self.A[:, self.basis]
+        """Rebuild B^-1 from the row structure, inverting only a p x p working matrix.
+
+        Rows whose slack is basic drop out. Each basic w_i takes its first
+        tight row as key row k(i) and is eliminated through it:
+        w_i = r_k + coef[k] . x. Subtracting the key row from the other tight
+        rows of w_i leaves the p = (number of basic x) remaining tight rows as
+        a square system W x_B = r_t - r_k in the basic x alone. So B^-1 r is
+        x_B = W^-1 G r, then w_B from the key rows and the basic slacks from
+        their own rows, and B^-1 = F (W^-1 G) + L with sparse G and L.
+        """
+        m, K, N = self.m, self.K, self.N
+        basis = self.basis
+        x_pos = np.flatnonzero(basis < K)
+        w_pos = np.flatnonzero((basis >= K) & (basis < K + N))
+        s_pos = np.flatnonzero(basis >= K + N)
+        x_cols = basis[x_pos]
+        w_ids = basis[w_pos] - K
+        s_rows = basis[s_pos] - (K + N)
+        p = len(x_cols)
+
+        tight = np.ones(m, dtype=bool)
+        tight[s_rows] = False
+        tight_rows = np.flatnonzero(tight)
+        w_with_rows, first = np.unique(self.row_w[tight_rows], return_index=True)
+        key_of = np.full(N, -1)
+        key_of[w_with_rows] = tight_rows[first]
+        keys = key_of[w_ids]
+        if np.any(keys < 0):
+            raise SingularBasisError("basic w column without a tight row")
+        basic_key = np.full(N, -1)
+        basic_key[w_ids] = keys
+        row_key = basic_key[self.row_w]  # key row of the row's w if that w is basic, else -1
+        keyed = np.flatnonzero(row_key >= 0)
+
+        Cx = self.coef[:, x_cols]
+        C = -Cx  # row t of the eliminated system, in the basic x only
+        C[keyed] += Cx[row_key[keyed]]
+        tight[keys] = False
+        work_rows = np.flatnonzero(tight)
+        if len(work_rows) != p:
+            raise SingularBasisError("working matrix is not square")
         try:
-            self.Binv = np.linalg.inv(B)
+            Winv = np.linalg.inv(C[work_rows])
         except np.linalg.LinAlgError as e:
             raise SingularBasisError(str(e)) from e
-        if not np.all(np.isfinite(self.Binv)):
+
+        # (W^-1 G)^T, where row t of G is e_t minus e_{key row} for keyed t
+        YT = np.zeros((m, p))
+        YT[work_rows] = Winv.T
+        work_keys = row_key[work_rows]
+        has_key = work_keys >= 0
+        np.subtract.at(YT, work_keys[has_key], Winv.T[has_key])
+        F = np.empty((m, p))
+        F[x_pos] = np.eye(p)
+        F[w_pos] = Cx[keys]
+        F[s_pos] = C[s_rows]
+        Binv = (YT @ F.T).T  # column-major
+        Binv[w_pos, keys] += 1.0
+        Binv[s_pos, s_rows] -= 1.0
+        s_keys = row_key[s_rows]
+        has_key = s_keys >= 0
+        Binv[s_pos[has_key], s_keys[has_key]] += 1.0
+        if not np.all(np.isfinite(Binv)):
             raise SingularBasisError("non-finite basis inverse")
+        self.Binv = Binv
+
         v = np.where(self.vstat == AT_UPPER, self.u, self.l)
-        v[self.basis] = 0.0
-        v[self.basis] = self.Binv @ (self.b - self.A @ v)
+        v[basis] = 0.0
+        v[basis] = Binv @ (self.b - self.A @ v)
         self.v = v
+        self._duals()
 
     def _duals(self):
         self.y = self.c[self.basis] @ self.Binv
@@ -306,8 +383,7 @@ class _DualSimplex:
 
     def _finalize(self, pivots_since_refactor):
         if pivots_since_refactor:
-            self._refactor()  # clean residuals for the certificate
-        self._duals()
+            self._refactor()  # clean residuals and reduced costs for the certificate
 
 
 def certificate(p: LpProblem, sol: LpSolution) -> dict:

@@ -1,10 +1,12 @@
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
 
 from gobmd.harness import (
+    BLAS_THREAD_VARS,
     ExperimentConfig,
     read_results,
     run_ber_sweep,
@@ -93,6 +95,23 @@ def test_workers_do_not_change_output():
     a = run_ber_sweep(small_cfg(trials=3))
     b = run_ber_sweep(small_cfg(trials=3, workers=2))
     assert strip_wall_time(a.records) == strip_wall_time(b.records)
+
+
+def test_parallel_sweep_keeps_records_and_trial_times():
+    # Each worker must run single-threaded BLAS: with the library default, two
+    # workers on two cores oversubscribe and every trial's wall_time inflates.
+    cfg = dict(experiment="runtime-sweep", n_antennas=18, k_users=[4], snr_db=[10.0], trials=8, detectors=["gobmd"])
+    env = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    serial = run_runtime_sweep(small_cfg(**cfg))
+    parallel = run_runtime_sweep(small_cfg(**cfg, workers=2))
+    assert {k: os.environ.get(k) for k in BLAS_THREAD_VARS} == env  # restored
+    assert strip_wall_time(parallel.records) == strip_wall_time(serial.records)
+    serial_s = sum(r["wall_time"] for r in serial.records)
+    parallel_s = sum(r["wall_time"] for r in parallel.records)
+    assert parallel_s <= 1.5 * serial_s, (parallel_s, serial_s)
+    assert parallel.metadata["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    assert serial.metadata["blas_threads"] == env
+    assert parallel.metadata["cpu_count"] == os.cpu_count()
 
 
 def test_runtime_sweep_shape():

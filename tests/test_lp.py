@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from gobmd import lp
+from gobmd.loss import LossContext, make_cut
 from gobmd.lp import (
+    AT_LOWER,
+    BASIC,
+    BasisToken,
     ContradictoryFixing,
+    SingularBasisError,
     add_rows,
     certificate,
     dump_problem,
@@ -13,6 +19,8 @@ from gobmd.lp import (
     make_problem,
     solve_lp,
 )
+from gobmd.model import GenConfig, generate_instance
+from gobmd.solver import initial_cuts, solve_gobmd
 
 
 def scipy_optimum(p) -> float:
@@ -269,3 +277,83 @@ def test_dump_problem_mentions_structure():
     p = make_problem(2, 2, [(1, np.array([0.5, -0.25]), 1.5)])
     text = dump_problem(p)
     assert "rows=1" in text and "w1" in text and "bound x0" in text
+
+
+def pool_problem(rng, case):
+    """A criterion-8-style node LP: seed pool plus random tangents, some x fixed."""
+    inst = generate_instance(GenConfig(6, int(rng.integers(1, 6)), 10.0, 8_000 + case))
+    ctx = LossContext.from_instance(inst)
+    pool = initial_cuts(inst, ctx)
+    for _ in range(int(rng.integers(0, 120))):
+        anchor = np.where(rng.random(ctx.k) < 0.5, 1.0, -1.0)
+        pool.add(make_cut(ctx, int(rng.integers(0, ctx.n)), anchor))
+    row_w, coef, off = pool.lp_rows()
+    p = make_problem(ctx.k, ctx.n, list(zip(row_w, coef, off)))
+    for j in range(ctx.k):
+        if rng.random() < 0.2:
+            p = fix_variable(p, j, float(rng.choice([-1.0, 1.0])))
+    return p
+
+
+def test_structured_refactor_inverts_the_basis(monkeypatch):
+    kinds = {"all-slack": 0, "basic x": 0, "basic w": 0, "basic w with several tight rows": 0}
+    worst = 0.0
+    refactor = lp._DualSimplex._refactor
+
+    def checked(core):
+        refactor(core)
+        nonlocal worst
+        worst = max(worst, float(np.abs(core.Binv @ core.A[:, core.basis] - np.eye(core.m)).max()))
+        K, N = core.K, core.N
+        basic_w = core.basis[(core.basis >= K) & (core.basis < K + N)] - K
+        tight = np.ones(core.m, dtype=bool)
+        tight[core.basis[core.basis >= K + N] - K - N] = False
+        tight_per_w = np.bincount(core.row_w[tight], minlength=N)
+        kinds["all-slack"] += bool(np.all(core.basis >= K + N))
+        kinds["basic x"] += bool(np.any(core.basis < K))
+        kinds["basic w"] += basic_w.size > 0
+        kinds["basic w with several tight rows"] += bool(np.any(tight_per_w[basic_w] > 1))
+
+    monkeypatch.setattr(lp._DualSimplex, "_refactor", checked)
+    rng = np.random.default_rng(40)
+    for case in range(60):
+        # several rows per w, so basic w columns have non-key tight rows too
+        p = random_problem(rng, N=int(rng.integers(1, 4)), m=int(rng.integers(1, 30)))
+        sol = solve_lp(p)
+        p2 = add_rows(p, [(int(rng.integers(0, p.n_w)), rng.standard_normal(p.n_x), 1.0)])
+        assert solve_lp(p2, warm=sol.basis).status == "optimal"
+        assert solve_lp(pool_problem(rng, case)).status == "optimal"
+    assert worst <= 1e-10
+    assert all(count > 0 for count in kinds.values()), kinds
+
+
+def test_warm_basis_with_keyless_w_restarts_cold():
+    # w0 basic while the slack of its only row is basic too: column w0 lies in
+    # the span of the basic slacks, so the basis is singular
+    p = make_problem(2, 2, [(0, np.array([0.5, -1.0]), 0.3), (1, np.array([1.0, 0.25]), 0.7)])
+    K, N, m = 2, 2, 2
+    basis = np.array([K + 0, K + N + 0])
+    vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
+    vstat[basis] = BASIC
+    with pytest.raises(SingularBasisError):
+        lp._DualSimplex(p).run(basis, vstat, 100)
+    sol = solve_lp(p, warm=BasisToken(basis, vstat, m, K, N))
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-9)
+    assert certificate(p, sol)["ok"]
+
+
+@pytest.mark.parametrize(
+    "n_ant, snr, seed, trial, nodes, lp_solves, cuts",
+    [
+        (18, 10.0, 7001, 0, 101, 105, 125),
+        (24, 5.0, 7003, 1, 75, 78, 142),
+        (32, 15.0, 7004, 0, 57, 60, 133),
+    ],
+)
+def test_pivot_path_pinned(n_ant, snr, seed, trial, nodes, lp_solves, cuts):
+    # Counts recorded with a dense m x m basis inverse. The structured basis
+    # algebra must reproduce every pivot choice; a drift shows as another tree.
+    rep = solve_gobmd(generate_instance(GenConfig(n_ant, 5, snr, seed), trial))
+    assert rep.status == "optimal"
+    assert (rep.nodes_processed, rep.lp_solves, rep.cuts_added) == (nodes, lp_solves, cuts)
