@@ -28,10 +28,8 @@ from .solver import (
     SolverOptions,
     initial_cuts,
     select_branch_var,
-    select_node,
     solve_gobmd,
     solve_incremental,
-    violated_rows,
 )
 from .harness import (
     ExperimentConfig,
@@ -79,10 +77,8 @@ __all__ = [
     "SolverOptions",
     "initial_cuts",
     "select_branch_var",
-    "select_node",
     "solve_gobmd",
     "solve_incremental",
-    "violated_rows",
     "ExperimentConfig",
     "ExperimentResult",
     "TrialRecord",

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
 
 from .harness import DETECTORS, ExperimentConfig, run_experiment, write_results
 from .model import GenConfig, InstanceFormatError, generate_instance, load_instance, save_instance
-from .solver import SolverOptions, solve_gobmd, solve_incremental
+from .solver import SolverOptions
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_LIMIT = 2
+EXIT_LIMIT = 2  # solve ended without a certificate: node/time limit or a failed node LP
 
 
 class UsageError(Exception):
@@ -29,10 +30,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--node-selection", choices=["best-bound", "depth-first"])
-    p.add_argument("--branch-rule", choices=["most-fractional", "lowest-index"])
-    p.add_argument("--cut-mode", choices=["integral-only", "also-fractional"])
-    p.add_argument("--pool-scope", choices=["global", "per-node"])
     p.add_argument("--eps-int", type=float)
     p.add_argument("--eps-cut", type=float)
     p.add_argument("--eps-prune", type=float)
@@ -87,17 +84,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-_SOLVER_KEYS = (
-    "node_selection",
-    "branch_rule",
-    "eps_int",
-    "eps_cut",
-    "eps_prune",
-    "node_limit",
-    "time_limit",
-    "cut_mode",
-    "pool_scope",
-)
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverOptions))
 
 
 def _solver_options(source: dict) -> SolverOptions:
@@ -149,15 +136,7 @@ _EXPERIMENT_DEFAULTS = {
     "records_out": None,
     "format": "csv",
     "ratios": None,
-    "node_selection": None,
-    "branch_rule": None,
-    "eps_int": None,
-    "eps_cut": None,
-    "eps_prune": None,
-    "node_limit": None,
-    "time_limit": None,
-    "cut_mode": None,
-    "pool_scope": None,
+    **dict.fromkeys(_SOLVER_KEYS),
 }
 
 
@@ -204,49 +183,14 @@ def _cmd_experiment(kind: str, args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    import time
-
-    from .baselines import exhaustive_search, zero_forcing
-    from .loss import LossContext, f_obj
-
     instance = load_instance(args.in_path)
-    opts = _solver_options({k: getattr(args, k, None) for k in _SOLVER_KEYS})
-    if args.detector in ("gobmd", "incremental"):
-        report = (solve_gobmd if args.detector == "gobmd" else solve_incremental)(instance, opts)
-        doc = report.to_dict()
-        status = report.status
-    elif args.detector == "exhaustive":
-        t0 = time.perf_counter()
-        res = exhaustive_search(instance)
-        doc = {
-            "method": "exhaustive",
-            "status": "optimal",
-            "x_star": [int(v) for v in res.x_opt],
-            "objective": res.objective,
-            "nodes_processed": res.n_evaluated,
-            "ties": res.ties,
-            "wall_time": time.perf_counter() - t0,
-            "options": opts.to_dict(),
-        }
-        status = "optimal"
-    else:
-        t0 = time.perf_counter()
-        x = zero_forcing(instance)
-        doc = {
-            "method": "zf",
-            "status": "heuristic",
-            "x_star": [int(v) for v in x],
-            "objective": f_obj(LossContext.from_instance(instance), x),
-            "wall_time": time.perf_counter() - t0,
-            "options": opts.to_dict(),
-        }
-        status = "heuristic"
+    doc = DETECTORS[args.detector](instance, _solver_options(vars(args)))
     text = json.dumps(doc, indent=2)
     print(text)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
-    if status in ("node-limit", "time-limit"):
+    if doc["status"] in ("node-limit", "time-limit", "numerical-failure"):
         return EXIT_LIMIT
     return EXIT_OK
 

@@ -26,7 +26,6 @@ from .loss import LossContext, f_obj
 from .model import RNG_IDENTITY, GenConfig, RealInstance, format_double, generate_instance
 from .solver import SolverOptions, solve_gobmd, solve_incremental
 
-DETECTORS = ("gobmd", "incremental", "exhaustive", "zf")
 EXPERIMENTS = ("ber-sweep", "runtime-sweep", "ratio-sweep", "phase-grid")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -118,44 +117,67 @@ class ExperimentResult:
     summary_columns: list[str]
 
 
+def _exhaustive_report(instance: RealInstance, opts: SolverOptions) -> dict:
+    t0 = time.perf_counter()
+    res = exhaustive_search(instance)
+    wall = time.perf_counter() - t0
+    return {
+        "method": "exhaustive",
+        "status": "optimal",
+        "x_star": [int(v) for v in res.x_opt],
+        "objective": res.objective,
+        "nodes_processed": res.n_evaluated,
+        "ties": res.ties,
+        "wall_time": wall,
+        "options": opts.to_dict(),
+    }
+
+
+def _zf_report(instance: RealInstance, opts: SolverOptions) -> dict:
+    t0 = time.perf_counter()
+    x = zero_forcing(instance)
+    wall = time.perf_counter() - t0
+    return {
+        "method": "zf",
+        "status": "heuristic",
+        "x_star": [int(v) for v in x],
+        "objective": f_obj(LossContext.from_instance(instance), x),
+        "wall_time": wall,
+        "options": opts.to_dict(),
+    }
+
+
+# detector name -> callable(instance, opts) returning the JSON report that
+# `gobmd solve` prints; wall_time covers the solve only
+DETECTORS = {
+    "gobmd": lambda instance, opts: solve_gobmd(instance, opts).to_dict(),
+    "incremental": lambda instance, opts: solve_incremental(instance, opts).to_dict(),
+    "exhaustive": _exhaustive_report,
+    "zf": _zf_report,
+}
+
+
 def solve_with_detector(detector: str, instance: RealInstance, opts: SolverOptions) -> TrialRecord:
-    """Run one detector on one instance; wall time covers the solve only."""
-    ties = None
-    if detector == "gobmd" or detector == "incremental":
-        rep = (solve_gobmd if detector == "gobmd" else solve_incremental)(instance, opts)
-        x = rep.x_star
-        objective = rep.objective
-        wall = rep.wall_time
-        nodes, cuts, ratio, status = rep.nodes_processed, rep.cuts_added, rep.ratio_s_over_c, rep.status
-    elif detector == "exhaustive":
-        t0 = time.perf_counter()
-        res = exhaustive_search(instance)
-        wall = time.perf_counter() - t0
-        x, objective = res.x_opt, res.objective
-        nodes, cuts, ratio, status, ties = res.n_evaluated, 0, None, "optimal", res.ties
-    elif detector == "zf":
-        t0 = time.perf_counter()
-        x = zero_forcing(instance)
-        wall = time.perf_counter() - t0
-        objective = f_obj(LossContext.from_instance(instance), x)
-        nodes, cuts, ratio, status = 0, 0, None, "heuristic"
-    else:
+    """Run one detector on one instance and condense its report into a record."""
+    if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
+    report = DETECTORS[detector](instance, opts)
+    x = report["x_star"]
     ber = None
     if x is not None and instance.x_true is not None:
-        ber = float(np.mean(instance.x_true != x))
+        ber = float(np.mean(instance.x_true != np.asarray(x, dtype=float)))
     return TrialRecord(
         trial=-1,
         seed=-1,
         detector=detector,
         ber=ber,
-        objective=objective,
-        wall_time=wall,
-        nodes=nodes,
-        cuts=cuts,
-        ratio_s_over_c=ratio,
-        status=status,
-        ties=ties,
+        objective=report["objective"],
+        wall_time=report["wall_time"],
+        nodes=report.get("nodes_processed", 0),
+        cuts=report.get("cuts_added", 0),
+        ratio_s_over_c=report.get("ratio_s_over_c"),
+        status=report["status"],
+        ties=report.get("ties"),
     )
 
 
@@ -224,6 +246,17 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _single_snr_points(cfg: ExperimentConfig, experiment: str) -> list[tuple[dict, GenConfig]]:
+    """One point per user count at the config's only SNR value."""
+    if len(cfg.snr_db) != 1:
+        raise ValueError(f"{experiment} uses a single SNR value")
+    snr = cfg.snr_db[0]
+    return [
+        ({"k_users": k, "n_antennas": cfg.n_antennas, "snr_db": snr}, GenConfig(cfg.n_antennas, k, snr, cfg.seed))
+        for k in cfg.k_users
+    ]
+
+
 def _mean_ber_rows(cfg, records, keys) -> list[dict]:
     bers = {}  # (point..., detector) -> BERs, in first-seen order
     for row in records:
@@ -260,14 +293,7 @@ def run_ber_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_runtime_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean/median solve time per (k, detector) at a single SNR."""
-    if len(cfg.snr_db) != 1:
-        raise ValueError("runtime-sweep uses a single SNR value")
-    snr = cfg.snr_db[0]
-    points = [
-        ({"k_users": k, "n_antennas": cfg.n_antennas, "snr_db": snr}, GenConfig(cfg.n_antennas, k, snr, cfg.seed))
-        for k in cfg.k_users
-    ]
-    records = _run_points(cfg, points)
+    records = _run_points(cfg, _single_snr_points(cfg, "runtime-sweep"))
     summary = []
     for k in cfg.k_users:
         for det in cfg.detectors:
@@ -293,14 +319,7 @@ def run_runtime_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
 def run_ratio_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Mean terminal |S|/|C| of the global solver per k."""
-    if len(cfg.snr_db) != 1:
-        raise ValueError("ratio-sweep uses a single SNR value")
-    snr = cfg.snr_db[0]
-    points = [
-        ({"k_users": k, "n_antennas": cfg.n_antennas, "snr_db": snr}, GenConfig(cfg.n_antennas, k, snr, cfg.seed))
-        for k in cfg.k_users
-    ]
-    records = _run_points(cfg, points)
+    records = _run_points(cfg, _single_snr_points(cfg, "ratio-sweep"))
     summary = []
     for k in cfg.k_users:
         rows = [r for r in records if r["k_users"] == k and r["detector"] == "gobmd"]

@@ -18,38 +18,19 @@ from .baselines import least_squares
 from .loss import Cut, LossContext, make_cut
 from .model import RealInstance, quantize_one_bit
 
-# passes of optional fractional-point cuts per node visit before branching
-MAX_FRACTIONAL_PASSES = 20
 # objective gap accepted by the incremental loop's optimality certificate
 INCREMENTAL_GAP_TOL = 1e-7
-
-NODE_SELECTION_RULES = ("best-bound", "depth-first")
-BRANCH_RULES = ("most-fractional", "lowest-index")
-CUT_MODES = ("integral-only", "also-fractional")
-POOL_SCOPES = ("global", "per-node")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    node_selection: str = "best-bound"
-    branch_rule: str = "most-fractional"
     eps_int: float = 1e-6
     eps_cut: float = 1e-6
     eps_prune: float = 1e-9
     node_limit: int = 1_000_000
     time_limit: float | None = None
-    cut_mode: str = "integral-only"
-    pool_scope: str = "global"
 
     def __post_init__(self):
-        if self.node_selection not in NODE_SELECTION_RULES:
-            raise ValueError(f"unknown node_selection {self.node_selection!r}")
-        if self.branch_rule not in BRANCH_RULES:
-            raise ValueError(f"unknown branch_rule {self.branch_rule!r}")
-        if self.cut_mode not in CUT_MODES:
-            raise ValueError(f"unknown cut_mode {self.cut_mode!r}")
-        if self.pool_scope not in POOL_SCOPES:
-            raise ValueError(f"unknown pool_scope {self.pool_scope!r}")
         for name in ("eps_int", "eps_cut", "eps_prune"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -91,9 +72,6 @@ class CutPool:
     def key(self, i: int, point: np.ndarray) -> tuple[int, bytes]:
         return (i, np.ascontiguousarray(point, dtype=float).tobytes())
 
-    def contains(self, i: int, point: np.ndarray) -> bool:
-        return self.key(i, point) in self.index
-
     def add(self, cut: Cut) -> int | None:
         """Append a cut unless its (row, anchor) pair is already present."""
         k = self.key(cut.row, cut.point)
@@ -117,16 +95,11 @@ class CutPool:
             new[: len(old)] = old
             setattr(self, name, new)
 
-    def lp_rows(self, ids=None):
-        """(row_w, coef, off) arrays for the LP; ``ids`` selects a per-node subset."""
-        if ids is None:
-            n = len(self.cuts)
-            picked = (self._w[:n], self._coef[:n], self._off[:n])
-        else:
-            ids = np.asarray(ids, dtype=int)
-            picked = (self._w[ids], self._coef[ids], self._off[ids])
+    def lp_rows(self):
+        """(row_w, coef, off) read-only views of the pooled rows for the LP."""
+        n = len(self.cuts)
         views = []
-        for a in picked:
+        for a in (self._w[:n], self._coef[:n], self._off[:n]):
             v = a.view()
             v.setflags(write=False)
             views.append(v)
@@ -142,7 +115,6 @@ class Node:
     bound: float
     warm: lpmod.BasisToken | None
     depth: int
-    cut_ids: tuple[int, ...] | None = None  # only used in per-node pool scope
 
     def __post_init__(self):
         if set(self.fixed_pos) & set(self.fixed_neg):
@@ -157,63 +129,32 @@ class Incumbent:
 
 
 class NodePool:
-    """Open-node container honoring the configured selection rule."""
+    """Best-bound open-node heap: minimal bound first; ties go to the deeper
+    node, then to the earlier push."""
 
-    def __init__(self, rule: str):
-        if rule not in NODE_SELECTION_RULES:
-            raise ValueError(f"unknown node selection rule {rule!r}")
-        self.rule = rule
+    def __init__(self):
         self._heap: list = []
-        self._stack: list[Node] = []
         self._counter = 0
 
     def push(self, node: Node):
-        if self.rule == "depth-first":
-            self._stack.append(node)
-        else:
-            heapq.heappush(self._heap, ((node.bound, -node.depth, self._counter), node))
-            self._counter += 1
+        heapq.heappush(self._heap, ((node.bound, -node.depth, self._counter), node))
+        self._counter += 1
 
     def pop(self) -> Node:
-        if self.rule == "depth-first":
-            return self._stack.pop()
         return heapq.heappop(self._heap)[1]
 
     def __len__(self) -> int:
-        return len(self._stack) + len(self._heap)
+        return len(self._heap)
 
 
-def select_node(nodes, rule: str) -> Node:
-    """Selection contract on a plain sequence: best-bound picks the minimal bound
-    (ties: deeper, then earlier insertion); depth-first picks the most recent."""
-    nodes = list(nodes)
-    if not nodes:
-        raise ValueError("empty node pool")
-    if rule == "depth-first":
-        return nodes[-1]
-    if rule != "best-bound":
-        raise ValueError(f"unknown node selection rule {rule!r}")
-    pos = min(range(len(nodes)), key=lambda t: (nodes[t].bound, -nodes[t].depth, t))
-    return nodes[pos]
-
-
-def select_branch_var(x_lp: np.ndarray, rule: str, eps_int: float = 1e-6) -> int:
-    """Index to branch on among the fractional coordinates of the LP solution."""
+def select_branch_var(x_lp: np.ndarray, eps_int: float = 1e-6) -> int:
+    """Most fractional coordinate (smallest |x_j|) of the LP solution."""
     x_lp = np.asarray(x_lp, dtype=float)
     frac = np.abs(x_lp) < 1.0 - eps_int
     if not frac.any():
         raise ValueError("select_branch_var called with an integral point")
-    if rule == "lowest-index":
-        return int(np.flatnonzero(frac)[0])
-    if rule != "most-fractional":
-        raise ValueError(f"unknown branch rule {rule!r}")
     scores = np.where(frac, np.abs(x_lp), np.inf)
     return int(np.argmin(scores))
-
-
-def violated_rows(ctx: LossContext, x: np.ndarray, w: np.ndarray, eps_cut: float) -> np.ndarray:
-    """Indices i with w_i < g_i(x) - eps_cut."""
-    return np.flatnonzero(np.asarray(w) < ctx.g_all(np.asarray(x, dtype=float)) - eps_cut)
 
 
 def initial_cuts(instance: RealInstance, ctx: LossContext | None = None) -> CutPool:
@@ -231,7 +172,7 @@ class SolveReport:
     """Outcome of a global solve, JSON-serializable, counters included."""
 
     method: str
-    status: str  # optimal | node-limit | time-limit
+    status: str  # optimal | node-limit | time-limit | numerical-failure
     x_star: np.ndarray | None
     objective: float | None
     nodes_processed: int
@@ -284,6 +225,10 @@ class _TreeSearch:
     tangents are added in place (re-solving the tightened LP). Without it the
     search solves the restricted MILP on the pool exactly, which is what the
     outer incremental loop needs.
+
+    A node LP that ends non-optimal (a failed warm start is first retried
+    cold) ends the search with status ``numerical-failure``; the incumbent
+    and counters are kept.
     """
 
     def __init__(self, ctx, pool, opts, generate_cuts, deadline=None, node_budget=None):
@@ -298,14 +243,12 @@ class _TreeSearch:
         self.lp_solves = 0
         self.incumbent_history: list = []
         self.bound_history: list = []
-        self.per_node = opts.pool_scope == "per-node"
 
     def run(self) -> str:
         opts = self.opts
         upper = np.inf
-        open_nodes = NodePool(opts.node_selection)
-        root_ids = tuple(range(len(self.pool))) if self.per_node else None
-        open_nodes.push(Node((), (), -np.inf, None, 0, cut_ids=root_ids))
+        open_nodes = NodePool()
+        open_nodes.push(Node((), (), -np.inf, None, 0))
 
         while len(open_nodes):
             if self.nodes_processed >= self.node_budget:
@@ -318,12 +261,12 @@ class _TreeSearch:
             self.nodes_processed += 1
             self.bound_history.append(node.bound)
 
-            cut_ids = list(node.cut_ids) if self.per_node else None
-            problem = self._build_problem(node, cut_ids)
+            problem = self._build_problem(node)
             warm = node.warm
-            frac_passes = 0
             while True:
                 sol = self._solve(problem, warm)
+                if sol is None:
+                    return "numerical-failure"
                 f_lp = sol.objective
                 if f_lp >= upper - opts.eps_prune:
                     break  # case (1): bound prune
@@ -336,7 +279,7 @@ class _TreeSearch:
                     not_exact = np.flatnonzero(np.abs(x_lp) != 1.0)
                     if not_exact.size:
                         j = int(not_exact[0])
-                        self._branch(open_nodes, node, j, f_lp, sol.basis, cut_ids)
+                        self._branch(open_nodes, node, j, f_lp, sol.basis)
                         break
                     x_int = x_lp.copy()
                     if not self.generate_cuts:
@@ -358,7 +301,7 @@ class _TreeSearch:
                             self.incumbent = Incumbent(x_int, g.copy(), f_true)
                             self.incumbent_history.append((self.nodes_processed, f_true))
                         break
-                    new_rows = self._add_cuts(viol, x_int, cut_ids)
+                    new_rows = self._add_cuts(viol, x_int)
                     if not new_rows:
                         # unreachable in exact arithmetic: pooled tangents force
                         # w_i >= g_i at their own anchor; keep the honest value
@@ -371,37 +314,24 @@ class _TreeSearch:
                     problem = lpmod.add_rows(problem, new_rows)  # case (2.2)
                     warm = sol.basis
                     continue
-                if (
-                    self.generate_cuts
-                    and opts.cut_mode == "also-fractional"
-                    and frac_passes < MAX_FRACTIONAL_PASSES
-                ):
-                    viol = violated_rows(self.ctx, x_lp, sol.w, opts.eps_cut)
-                    new_rows = self._add_cuts(viol, x_lp, cut_ids)
-                    if new_rows:
-                        problem = lpmod.add_rows(problem, new_rows)
-                        warm = sol.basis
-                        frac_passes += 1
-                        continue
                 # case (3): branch
-                j = select_branch_var(x_lp, opts.branch_rule, opts.eps_int)
-                self._branch(open_nodes, node, j, f_lp, sol.basis, cut_ids)
+                j = select_branch_var(x_lp, opts.eps_int)
+                self._branch(open_nodes, node, j, f_lp, sol.basis)
                 break
         return "optimal"
 
-    def _branch(self, open_nodes, node, j, bound, warm, cut_ids):
-        child_ids = tuple(cut_ids) if self.per_node else None
-        open_nodes.push(Node(node.fixed_pos + (j,), node.fixed_neg, bound, warm, node.depth + 1, child_ids))
-        open_nodes.push(Node(node.fixed_pos, node.fixed_neg + (j,), bound, warm, node.depth + 1, child_ids))
+    def _branch(self, open_nodes, node, j, bound, warm):
+        open_nodes.push(Node(node.fixed_pos + (j,), node.fixed_neg, bound, warm, node.depth + 1))
+        open_nodes.push(Node(node.fixed_pos, node.fixed_neg + (j,), bound, warm, node.depth + 1))
 
-    def _build_problem(self, node: Node, cut_ids) -> lpmod.LpProblem:
+    def _build_problem(self, node: Node) -> lpmod.LpProblem:
         xl = np.full(self.ctx.k, -1.0)
         xu = np.full(self.ctx.k, 1.0)
         for j in node.fixed_pos:
             xl[j] = 1.0
         for j in node.fixed_neg:
             xu[j] = -1.0
-        row_w, coef, off = self.pool.lp_rows(cut_ids)
+        row_w, coef, off = self.pool.lp_rows()
         return lpmod.LpProblem(
             n_x=self.ctx.k,
             n_w=self.ctx.n,
@@ -414,29 +344,20 @@ class _TreeSearch:
         )
 
     def _solve(self, problem, warm):
+        """Optimal node-LP solution, or None; a failed warm start is retried cold."""
         sol = lpmod.solve_lp(problem, warm)
         self.lp_solves += 1
         if sol.status == "iteration-limit" and warm is not None:
             sol = lpmod.solve_lp(problem, None)  # retry cold
             self.lp_solves += 1
-        if sol.status != "optimal":
-            raise RuntimeError(f"node LP failed with status {sol.status}")
-        return sol
+        return sol if sol.status == "optimal" else None
 
-    def _add_cuts(self, rows, point, cut_ids) -> list[Cut]:
+    def _add_cuts(self, rows, point) -> list[Cut]:
         new = []
         for i in rows:
             cut = make_cut(self.ctx, int(i), point)
-            cid = self.pool.add(cut)
-            if cid is not None:
+            if self.pool.add(cut) is not None:
                 new.append(cut)
-                if cut_ids is not None:
-                    cut_ids.append(cid)
-            elif cut_ids is not None:
-                existing = self.pool.index[self.pool.key(int(i), np.asarray(point, dtype=float))]
-                if existing not in cut_ids:
-                    cut_ids.append(existing)
-                    new.append(self.pool.cuts[existing])
         return new
 
 

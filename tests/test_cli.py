@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import gobmd.lp
 from gobmd.cli import main
 from gobmd.model import RealInstance, save_instance
 
@@ -25,7 +27,7 @@ def test_gen_and_solve(tmp_path, capsys):
     assert rc == 0
     assert doc["status"] == "optimal"
     assert doc["method"] == "gobmd"
-    assert doc["options"]["node_selection"] == "best-bound"  # resolved config echo
+    assert doc["options"]["eps_cut"] == 1e-6  # resolved config echo
 
 
 def test_solve_detectors_agree(tmp_path, capsys):
@@ -68,6 +70,27 @@ def test_solve_deterministic_modulo_wall_time(tmp_path, capsys):
 def test_solve_limit_exit_code(tmp_path):
     inst = _gen(tmp_path, n_ant=10, k=5, snr=0.0, seed=41)
     assert main(["solve", "--in", inst, "--node-limit", "1"]) == 2
+
+
+def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    real = gobmd.lp.solve_lp
+    monkeypatch.setattr(
+        gobmd.lp, "solve_lp", lambda p, warm=None: dataclasses.replace(real(p, warm), status="iteration-limit")
+    )
+    inst = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", "--in", inst]) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{") :])["status"] == "numerical-failure"
+
+
+def test_removed_search_options_are_unknown(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    assert main(["solve", "--in", inst, "--pool-scope", "global"]) == 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "cut_mode": "integral-only"}))
+    assert main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "unknown config keys: ['cut_mode']" in capsys.readouterr().err
 
 
 def test_solve_oracle_cap_exit(tmp_path, capsys):
