@@ -374,27 +374,23 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # same rows plus a metadata block. Writes are atomic (temp file + rename).
 
 
-class _Float17Encoder(json.JSONEncoder):
-    """JSON encoder emitting doubles with 17 significant digits."""
-
-    def iterencode(self, o, _one_shot=False):
-        def floatstr(x, _inf=float("inf")):
-            if x != x or x in (_inf, -_inf):
-                raise ValueError(f"cannot serialize non-finite float {x}")
-            return format_double(x)
-
-        return json.encoder._make_iterencode(
-            {} if self.check_circular else None,
-            self.default,
-            json.encoder.encode_basestring_ascii,
-            self.indent,
-            floatstr,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot,
-        )(o, 0)
+def _json17(o, level: int = 0) -> str:
+    """JSON text laid out as ``json.dumps(o, indent=1)``, with doubles at 17 significant digits."""
+    if isinstance(o, float):
+        return format_double(o)  # rejects non-finite values
+    if isinstance(o, dict):
+        brackets = "{}"
+        keys = [k if isinstance(k, str) else _json17(k) for k in o]  # as json does: 1.5 -> "1.5"
+        items = [f"{json.dumps(k)}: {_json17(v, level + 1)}" for k, v in zip(keys, o.values())]
+    elif isinstance(o, (list, tuple)):
+        brackets = "[]"
+        items = [_json17(v, level + 1) for v in o]
+    else:
+        return json.dumps(o)  # str, int, bool, None; anything else raises TypeError
+    if not items:
+        return brackets
+    pad = "\n" + " " * (level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * level + brackets[1]
 
 
 def _csv_cell(v):
@@ -422,7 +418,7 @@ def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict 
         else:
             doc = {"metadata": metadata or {}, "rows": rows}
             with open(tmp, "w") as f:
-                f.write(_Float17Encoder(indent=1).encode(doc))
+                f.write(_json17(doc))
                 f.write("\n")
         os.replace(tmp, path)
     except OSError as e:

@@ -12,11 +12,19 @@ coefficient +1, and its own slack. A refactor drops the rows whose slack is
 basic and eliminates every basic w_i through one key row (its first tight
 row), in the manner of generalized upper bounding (Dantzig & Van Slyke, 1967).
 What remains is a working matrix of at most K x K in the basic x; only that is
-inverted, and the explicit basis inverse is assembled from it with one
-(m x p)(p x m) product. Between refactors the inverse takes an in-place BLAS
-rank-1 update per pivot, and the reduced costs follow the pivot row instead
-of being recomputed; both are rebuilt exactly at every refactor, including
-the last one before the optimality certificate.
+inverted (a numerically singular one counts as singular), and the explicit
+basis inverse is assembled from it with one (m x p)(p x m) product. Between
+refactors the inverse takes an in-place BLAS rank-1 update per pivot, and the
+reduced costs follow the pivot row instead of being recomputed; both are
+rebuilt exactly at every refactor, including the last one before the
+optimality certificate.
+
+No dense constraint matrix is stored. The pivot row, the entering column and
+the products A v and y A come from the same row structure: the x block is a
+product with the m x K coefficients, the w block a sum over each w's rows, and
+the slack block a sign flip. A pivot costs O(m (K + m)), and the pivot loop
+updates its per-column and per-position state only where the pivot changes
+it.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ DUAL_TOL = 1e-9  # reduced-cost certificate tolerance
 DEGEN_TOL = 1e-12  # dual step below this counts as degenerate
 DEGEN_LIMIT = 40  # consecutive degenerate pivots before Bland's rule engages
 REFACTOR_EVERY = 64
+COND_LIMIT = 1e12  # working matrices with p |W|max |W^-1|max above this count as singular
 
 
 class ContradictoryFixing(ValueError):
@@ -141,7 +150,7 @@ def fix_variable(p: LpProblem, j: int, value: float) -> LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | iteration-limit
+    status: str  # optimal | infeasible | iteration-limit | numerical-failure
     x: np.ndarray
     w: np.ndarray
     objective: float
@@ -156,7 +165,8 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
 
     Deterministic: fixed tie-breaking by lowest index, Bland's rule after a
     run of degenerate pivots. Correctness never depends on the token; an
-    incompatible or singular warm basis falls back to a cold start.
+    incompatible or singular warm basis falls back to a cold start, and a
+    singular basis on the cold start ends with status ``numerical-failure``.
     """
     m, K, N = p.n_rows, p.n_x, p.n_w
     if max_iter is None:
@@ -168,13 +178,14 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
         d = np.concatenate([np.zeros(K), np.ones(N)])
         return LpSolution("optimal", x, w, float(w.sum()), token, np.zeros(0), d, 0)
 
-    basis, vstat = _load_start(p, warm, K + N + m)
     core = _DualSimplex(p)
     try:
-        status, iters = core.run(basis, vstat, max_iter)
+        status, iters = core.run(*_load_start(p, warm, K + N + m), max_iter)
     except SingularBasisError:
-        basis, vstat = _load_start(p, None, K + N + m)  # cold restart
-        status, iters = core.run(basis, vstat, max_iter)
+        try:  # cold restart
+            status, iters = core.run(*_load_start(p, None, K + N + m), max_iter)
+        except SingularBasisError:
+            status, iters = "numerical-failure", max_iter
 
     x = core.v[:K].copy()
     w = core.v[K : K + N].copy()
@@ -209,36 +220,60 @@ class _DualSimplex:
     """Bounded-variable dual simplex on A v = b, l <= v <= u, min c.v, for A = [-coef | E_w | -I].
 
     Columns are ordered (x, w, slack); row t has -coef[t] on x, +1 on
-    w_{row_w[t]} and -1 on its own slack. The explicit inverse ``Binv`` is kept
-    in column-major order so the rank-1 update runs in place.
+    w_{row_w[t]} and -1 on its own slack. A is never stored: the products
+    y A, A v and B^-1 A_q come from that row structure. The explicit inverse
+    ``Binv`` is kept in column-major order so the rank-1 update runs in place.
+    The pivot loop keeps the basic bounds and values by basis position and a
+    sign per column (+1 at lower, -1 at upper, 0 if basic or fixed), changing
+    only the entries a pivot touches.
     """
 
     def __init__(self, p: LpProblem):
         m, K, N = p.n_rows, p.n_x, p.n_w
         self.m, self.n, self.K, self.N = m, K + N + m, K, N
-        self.row_w, self.coef = p.row_w, p.row_coef
+        self.row_w, self.coef, self.b = p.row_w, p.row_coef, p.row_off
         self.c = np.zeros(self.n)
         self.c[K : K + N] = 1.0
         self.l = np.concatenate([p.x_lower, p.w_lower, np.zeros(m)])
         self.u = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
-        A = np.zeros((m, self.n))
-        A[:, :K] = -p.row_coef
-        A[np.arange(m), K + p.row_w] = 1.0
-        A[np.arange(m), K + N + np.arange(m)] = -1.0
-        self.A, self.b = A, p.row_off
         self.fixed = self.u - self.l <= 0.0  # can never leave their bound
+        # rows grouped by their w, for the w columns of A
+        self.w_order = np.argsort(p.row_w, kind="stable")
+        self.w_start = np.concatenate([[0], np.cumsum(np.bincount(p.row_w, minlength=N))])
+
+    def _yA(self, y):
+        """y @ A over all columns."""
+        return np.concatenate([-(y @ self.coef), np.bincount(self.row_w, y, self.N), -y])
+
+    def _Av(self, v):
+        """A @ v."""
+        K, N = self.K, self.N
+        return v[K + self.row_w] - self.coef @ v[:K] - v[K + N :]
+
+    def _binv_col(self, q):
+        """B^-1 A[:, q], the entering column."""
+        K, N = self.K, self.N
+        if q < K:
+            return -(self.Binv @ self.coef[:, q])
+        if q < K + N:
+            rows = self.w_order[self.w_start[q - K] : self.w_start[q - K + 1]]
+            return self.Binv[:, rows].sum(axis=1)
+        return -self.Binv[:, q - K - N]
 
     def run(self, basis, vstat, max_iter):
         self.basis = np.array(basis, dtype=int)
         self.vstat = np.array(vstat, dtype=np.int8)
+        self.sgn = np.where(self.vstat == AT_UPPER, -1.0, 1.0)
+        self.sgn[(self.vstat == BASIC) | self.fixed] = 0.0
+        self.lb, self.ub = self.l[self.basis], self.u[self.basis]
         self._refactor()
         degen_run = 0
         bland = False
         since_refactor = 0
         for it in range(max_iter):
-            vb = self.v[self.basis]
-            below = self.l[self.basis] - vb
-            above = vb - self.u[self.basis]
+            vb = self.vb
+            below = self.lb - vb
+            above = vb - self.ub
             viol = np.maximum(below, above)
             worst = viol.max() if self.m else 0.0
             if worst <= FEAS_TOL:
@@ -251,19 +286,12 @@ class _DualSimplex:
                 r = int(np.argmax(viol))
             leaving_low = below[r] >= above[r]
 
-            alpha = self.Binv[r] @ self.A
-            if leaving_low:
-                elig = ((self.vstat == AT_LOWER) & (alpha < -PIV_TOL)) | (
-                    (self.vstat == AT_UPPER) & (alpha > PIV_TOL)
-                )
-            else:
-                elig = ((self.vstat == AT_LOWER) & (alpha > PIV_TOL)) | (
-                    (self.vstat == AT_UPPER) & (alpha < -PIV_TOL)
-                )
-            elig &= ~self.fixed
-            idx = np.flatnonzero(elig)
+            alpha = self._yA(self.Binv[r])
+            s_alpha = self.sgn * alpha
+            idx = np.flatnonzero(s_alpha < -PIV_TOL if leaving_low else s_alpha > PIV_TOL)
             if idx.size == 0:
                 self._duals()
+                self.v[self.basis] = self.vb
                 return "infeasible", it
             ratios = np.abs(self.d[idx]) / np.abs(alpha[idx])
             theta = ratios.min()
@@ -275,21 +303,24 @@ class _DualSimplex:
             else:
                 degen_run = 0
 
-            col = self.Binv @ self.A[:, q]
+            col = self._binv_col(q)
             piv = col[r]
             if abs(piv) < PIV_TOL:
                 self._refactor()
                 since_refactor = 0
                 continue
             leave = self.basis[r]
-            target = self.l[leave] if leaving_low else self.u[leave]
+            target = self.lb[r] if leaving_low else self.ub[r]
             step = (vb[r] - target) / piv
-            self.v[self.basis] -= col * step
-            self.v[q] += step
+            vb -= col * step
+            vb[r] = self.v[q] + step
             self.v[leave] = target
             self.vstat[leave] = AT_LOWER if leaving_low else AT_UPPER
+            self.sgn[leave] = 0.0 if self.fixed[leave] else (1.0 if leaving_low else -1.0)
             self.vstat[q] = BASIC
+            self.sgn[q] = 0.0
             self.basis[r] = q
+            self.lb[r], self.ub[r] = self.l[q], self.u[q]
             # reduced costs follow the pivot row; they are recomputed exactly at every refactor
             self.d -= (self.d[q] / alpha[q]) * alpha
             self.d[q] = 0.0
@@ -346,10 +377,14 @@ class _DualSimplex:
         work_rows = np.flatnonzero(tight)
         if len(work_rows) != p:
             raise SingularBasisError("working matrix is not square")
+        W = C[work_rows]
         try:
-            Winv = np.linalg.inv(C[work_rows])
+            Winv = np.linalg.inv(W)
         except np.linalg.LinAlgError as e:
             raise SingularBasisError(str(e)) from e
+        if p and p * np.abs(W).max() * np.abs(Winv).max() > COND_LIMIT:
+            # bounds cond(W); near 1/eps the inverse is finite but wrong
+            raise SingularBasisError("working matrix is numerically singular")
 
         # (W^-1 G)^T, where row t of G is e_t minus e_{key row} for keyed t
         YT = np.zeros((m, p))
@@ -373,17 +408,19 @@ class _DualSimplex:
 
         v = np.where(self.vstat == AT_UPPER, self.u, self.l)
         v[basis] = 0.0
-        v[basis] = Binv @ (self.b - self.A @ v)
+        self.vb = Binv @ (self.b - self._Av(v))
+        v[basis] = self.vb
         self.v = v
         self._duals()
 
     def _duals(self):
         self.y = self.c[self.basis] @ self.Binv
-        self.d = self.c - self.y @ self.A
+        self.d = self.c - self._yA(self.y)
 
     def _finalize(self, pivots_since_refactor):
         if pivots_since_refactor:
             self._refactor()  # clean residuals and reduced costs for the certificate
+        self.v[self.basis] = self.vb
 
 
 def certificate(p: LpProblem, sol: LpSolution) -> dict:

@@ -347,7 +347,9 @@ class _TreeSearch:
         """Optimal node-LP solution, or None; a failed warm start is retried cold."""
         sol = lpmod.solve_lp(problem, warm)
         self.lp_solves += 1
-        if sol.status == "iteration-limit" and warm is not None:
+        # a node LP is never infeasible (w is unbounded above), so any status
+        # but optimal is numerical trouble
+        if sol.status != "optimal" and warm is not None:
             sol = lpmod.solve_lp(problem, None)  # retry cold
             self.lp_solves += 1
         return sol if sol.status == "optimal" else None

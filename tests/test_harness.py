@@ -216,6 +216,19 @@ def test_write_results_json_roundtrip(tmp_path):
     assert doc["rows"] == rows  # bit-exact floats
 
 
+def test_write_results_json_layout(tmp_path):
+    path = str(tmp_path / "out.json")
+    rows = [{"s": "é\n", "n": -3, "b": True, "z": None, "e": [], "d": {}, "l": [[1, 2], {"k": 0}]}]
+    meta = {"config": {"k_users": [2, 3], "options": {}}, "tags": ("a",)}
+    write_results(rows, path, "json", metadata=meta)
+    expected = json.dumps({"metadata": meta, "rows": rows}, indent=1) + "\n"
+    assert open(path).read() == expected  # without floats: json.dumps byte for byte
+    write_results([{"v": 0.1, "w": -0.0}], path, "json")
+    assert '"v": 0.10000000000000001,' in open(path).read()
+    with pytest.raises(ValueError):  # non-finite doubles are refused
+        write_results([{"v": float("nan")}], path, "json")
+
+
 def test_write_results_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_results([], str(tmp_path / "x"), "xml")

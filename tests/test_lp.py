@@ -8,6 +8,7 @@ from gobmd import lp
 from gobmd.loss import LossContext, make_cut
 from gobmd.lp import (
     AT_LOWER,
+    AT_UPPER,
     BASIC,
     BasisToken,
     ContradictoryFixing,
@@ -295,15 +296,46 @@ def pool_problem(rng, case):
     return p
 
 
+def dense_A(p):
+    """The constraint matrix [-coef | E_w | -I] over the (x, w, slack) columns."""
+    m, K, N = p.n_rows, p.n_x, p.n_w
+    A = np.zeros((m, K + N + m))
+    A[:, :K] = -p.row_coef
+    A[np.arange(m), K + p.row_w] = 1.0
+    A[np.arange(m), K + N + np.arange(m)] = -1.0
+    return A
+
+
+def watch_cores(monkeypatch, check, at_return=False):
+    """Call check(core, dense_A(p)) after every refactor and, if asked, when run returns."""
+    init, refactor, run = lp._DualSimplex.__init__, lp._DualSimplex._refactor, lp._DualSimplex.run
+
+    def remembering(core, p):
+        init(core, p)
+        core.dense = dense_A(p)
+
+    def checked_refactor(core):
+        refactor(core)
+        check(core, core.dense)
+
+    def checked_run(core, *args):
+        out = run(core, *args)
+        check(core, core.dense)
+        return out
+
+    monkeypatch.setattr(lp._DualSimplex, "__init__", remembering)
+    monkeypatch.setattr(lp._DualSimplex, "_refactor", checked_refactor)
+    if at_return:
+        monkeypatch.setattr(lp._DualSimplex, "run", checked_run)
+
+
 def test_structured_refactor_inverts_the_basis(monkeypatch):
     kinds = {"all-slack": 0, "basic x": 0, "basic w": 0, "basic w with several tight rows": 0}
     worst = 0.0
-    refactor = lp._DualSimplex._refactor
 
-    def checked(core):
-        refactor(core)
+    def check(core, A):
         nonlocal worst
-        worst = max(worst, float(np.abs(core.Binv @ core.A[:, core.basis] - np.eye(core.m)).max()))
+        worst = max(worst, float(np.abs(core.Binv @ A[:, core.basis] - np.eye(core.m)).max()))
         K, N = core.K, core.N
         basic_w = core.basis[(core.basis >= K) & (core.basis < K + N)] - K
         tight = np.ones(core.m, dtype=bool)
@@ -314,7 +346,7 @@ def test_structured_refactor_inverts_the_basis(monkeypatch):
         kinds["basic w"] += basic_w.size > 0
         kinds["basic w with several tight rows"] += bool(np.any(tight_per_w[basic_w] > 1))
 
-    monkeypatch.setattr(lp._DualSimplex, "_refactor", checked)
+    watch_cores(monkeypatch, check)
     rng = np.random.default_rng(40)
     for case in range(60):
         # several rows per w, so basic w columns have non-key tight rows too
@@ -325,6 +357,58 @@ def test_structured_refactor_inverts_the_basis(monkeypatch):
         assert solve_lp(pool_problem(rng, case)).status == "optimal"
     assert worst <= 1e-10
     assert all(count > 0 for count in kinds.values()), kinds
+
+
+def test_structured_products_match_dense(monkeypatch):
+    seen = {"checks": 0, "fixed at a bound": 0, "at upper": 0}
+
+    def close(got, want, scale):
+        # relative to the summed magnitudes, so cancellation cannot hide a wrong term
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def check(core, A):
+        B, absA = core.Binv, np.abs(A)
+        want = B @ A
+        scale = np.abs(B) @ absA
+        close(np.array([core._yA(B[r]) for r in range(core.m)]), want, scale)
+        close(np.column_stack([core._binv_col(q) for q in range(core.n)]), want, scale)
+        close(core._Av(core.v), A @ core.v, absA @ np.abs(core.v))
+        close(core._yA(core.y), core.y @ A, np.abs(core.y) @ absA)
+        sgn = np.where(core.vstat == AT_UPPER, -1.0, 1.0)
+        sgn[(core.vstat == BASIC) | core.fixed] = 0.0
+        assert np.array_equal(core.sgn, sgn)
+        assert np.array_equal(core.lb, core.l[core.basis])
+        assert np.array_equal(core.ub, core.u[core.basis])
+        assert np.array_equal(core.vb, core.v[core.basis])
+        seen["checks"] += 1
+        seen["fixed at a bound"] += bool(np.any(core.fixed & (core.vstat != BASIC)))
+        seen["at upper"] += bool(np.any(core.vstat == AT_UPPER))
+
+    watch_cores(monkeypatch, check, at_return=True)
+    rng = np.random.default_rng(41)
+    for case in range(25):
+        for p in (random_problem(rng, m=int(rng.integers(1, 25))), pool_problem(rng, case)):
+            sol = solve_lp(p)
+            extra = [(int(rng.integers(0, p.n_w)), rng.standard_normal(p.n_x), 0.5)]
+            assert solve_lp(add_rows(p, extra), warm=sol.basis).status == "optimal"
+            free = np.flatnonzero(p.x_lower < p.x_upper)
+            if free.size:
+                child = fix_variable(p, int(free[0]), float(rng.choice([-1.0, 1.0])))
+                assert solve_lp(child, warm=sol.basis).status == "optimal"
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_singular_cold_restart_is_a_status(monkeypatch):
+    refactor = lp._DualSimplex._refactor
+
+    def singular_with_basic_x(core):
+        if np.any(core.basis < core.K):
+            raise SingularBasisError("test")
+        refactor(core)
+
+    monkeypatch.setattr(lp._DualSimplex, "_refactor", singular_with_basic_x)
+    p = make_problem(1, 1, [(0, np.array([1.0]), 0.5), (0, np.array([-1.0]), 0.3)])
+    assert solve_lp(p).status == "numerical-failure"
 
 
 def test_warm_basis_with_keyless_w_restarts_cold():
@@ -344,16 +428,19 @@ def test_warm_basis_with_keyless_w_restarts_cold():
 
 
 @pytest.mark.parametrize(
-    "n_ant, snr, seed, trial, nodes, lp_solves, cuts",
+    "n_ant, n_users, snr, seed, trial, nodes, lp_solves, cuts",
     [
-        (18, 10.0, 7001, 0, 101, 105, 125),
-        (24, 5.0, 7003, 1, 75, 78, 142),
-        (32, 15.0, 7004, 0, 57, 60, 133),
+        pytest.param(18, 5, 10.0, 7001, 0, 101, 105, 125, id="18-10.0-7001-0-101-105-125"),
+        pytest.param(24, 5, 5.0, 7003, 1, 75, 78, 142, id="24-5.0-7003-1-75-78-142"),
+        pytest.param(32, 5, 15.0, 7004, 0, 57, 60, 133, id="32-15.0-7004-0-57-60-133"),
+        # 48 antennas: node LPs of 96-259 rows, where the structured products matter most
+        pytest.param(48, 7, 10.0, 7005, 2, 105, 107, 163, id="48-7-10.0-7005-2-105-107-163"),
     ],
 )
-def test_pivot_path_pinned(n_ant, snr, seed, trial, nodes, lp_solves, cuts):
-    # Counts recorded with a dense m x m basis inverse. The structured basis
-    # algebra must reproduce every pivot choice; a drift shows as another tree.
-    rep = solve_gobmd(generate_instance(GenConfig(n_ant, 5, snr, seed), trial))
+def test_pivot_path_pinned(n_ant, n_users, snr, seed, trial, nodes, lp_solves, cuts):
+    # Counts recorded with a dense m x m basis inverse and, for the 48-antenna
+    # row, with a dense constraint matrix. The structured basis algebra and
+    # products must reproduce every pivot choice; a drift shows as another tree.
+    rep = solve_gobmd(generate_instance(GenConfig(n_ant, n_users, snr, seed), trial))
     assert rep.status == "optimal"
     assert (rep.nodes_processed, rep.lp_solves, rep.cuts_added) == (nodes, lp_solves, cuts)

@@ -185,6 +185,23 @@ def test_node_lp_failure_is_a_status(monkeypatch):
         assert rep.nodes_processed == 1 and rep.lp_solves == 1
 
 
+@pytest.mark.parametrize("status", ["infeasible", "iteration-limit", "numerical-failure"])
+def test_failed_warm_node_lp_is_retried_cold(monkeypatch, status):
+    real = gobmd.lp.solve_lp
+    inst = generate_instance(GenConfig(8, 3, 10.0, 61))
+    ref = solve_gobmd(inst)
+
+    def warm_fails(problem, warm=None, max_iter=None):
+        sol = real(problem, warm, max_iter)
+        return sol if warm is None else dataclasses.replace(sol, status=status)
+
+    monkeypatch.setattr(gobmd.lp, "solve_lp", warm_fails)
+    rep = solve_gobmd(inst)
+    assert rep.status == "optimal"
+    assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
+    assert rep.lp_solves > ref.lp_solves
+
+
 def test_report_json_schema():
     inst = generate_instance(GenConfig(6, 2, 10.0, 51))
     rep = solve_gobmd(inst)
