@@ -19,7 +19,7 @@ from .model import (
     save_instance,
 )
 from .loss import Cut, LossContext, f_obj, g_eval, g_grad, inv_mills, log_ncdf, make_cut
-from .lp import LpProblem, LpSolution, add_rows, fix_variable, make_problem, solve_lp
+from .lp import LpProblem, LpSolution, solve_lp
 from .baselines import OracleResult, exhaustive_search, least_squares, zero_forcing
 from .solver import (
     CutPool,
@@ -63,9 +63,6 @@ __all__ = [
     "make_cut",
     "LpProblem",
     "LpSolution",
-    "add_rows",
-    "fix_variable",
-    "make_problem",
     "solve_lp",
     "OracleResult",
     "exhaustive_search",

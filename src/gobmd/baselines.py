@@ -7,10 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .loss import LossContext, log_ncdf
+from .loss import LossContext, f_obj, log_ncdf
 from .model import RealInstance, quantize_one_bit
 
 EXHAUSTIVE_K_CAP = 24
+BLOCK_CODES = 2**10  # sign vectors per margin product in exhaustive_search
 RANK_TOL = 1e-10
 TIE_TOL = 1e-9
 
@@ -58,56 +59,33 @@ def zero_forcing(instance: RealInstance) -> np.ndarray:
 def exhaustive_search(instance: RealInstance, k_cap: int = EXHAUSTIVE_K_CAP) -> OracleResult:
     """Global minimum of the detection objective over all 2^K sign vectors.
 
-    Gray-code order: consecutive candidates differ in one coordinate, so the
-    N margins update in O(N) per step. Ties within TIE_TOL are counted and
-    broken by the lexicographically smallest vector, +1 ordered before -1.
+    The vectors are taken in lexicographic order (coordinate 0 first, +1
+    before -1) in blocks of BLOCK_CODES. Each block's margins are one fresh
+    (B x K) @ (K x N) product, so no rounding carries from one vector to the
+    next. A vector ties when f <= f_min + TIE_TOL * min(1, f_min), f_min the
+    global minimum: ``ties`` counts them and ``x_opt`` is the first in that
+    order. Besides one block, only the running minimum and the codes within
+    the tie threshold of it are kept, so memory is O(B x N) plus 16 bytes per
+    near-tie; the 2^K objectives are never held at once.
     """
     k = instance.k
     if k > k_cap:
         raise ValueError(f"exhaustive search requires K <= {k_cap}, got K = {k}")
     ctx = LossContext.from_instance(instance)
-    # bit j of the gray code set means x_j = -1; the all +1 vector is code 0
-    x = np.ones(k)
-    margins = ctx.rows @ x
-    col_doubled = 2.0 * ctx.rows  # margin change when one coordinate flips sign
-
-    min_f = float(np.sum(-log_ncdf(margins)))
-    ties = 1
-    chosen_rank = _lex_rank(0, k)
-    chosen_x = x.copy()
-    chosen_f = min_f
-    code = 0
-    for idx in range(1, 2**k):
-        gray = idx ^ (idx >> 1)
-        j = (gray ^ code).bit_length() - 1  # flipped coordinate
-        code = gray
-        if x[j] > 0:
-            x[j] = -1.0
-            margins -= col_doubled[:, j]
-        else:
-            x[j] = 1.0
-            margins += col_doubled[:, j]
-        f = float(np.sum(-log_ncdf(margins)))
-        if f < min_f - TIE_TOL:
-            min_f = f
-            ties = 1
-            chosen_rank = _lex_rank(code, k)
-            chosen_x = x.copy()
-            chosen_f = f
-        elif f <= min_f + TIE_TOL:
-            min_f = min(min_f, f)
-            ties += 1
-            rank = _lex_rank(code, k)
-            if rank < chosen_rank:
-                chosen_rank = rank
-                chosen_x = x.copy()
-                chosen_f = f
-    return OracleResult(x_opt=chosen_x, objective=chosen_f, n_evaluated=2**k, ties=ties)
-
-
-def _lex_rank(code: int, k: int) -> int:
-    # bit j of `code` is coordinate j; lexicographic order reads coordinate 0 first
-    rank = 0
-    for j in range(k):
-        rank = (rank << 1) | ((code >> j) & 1)
-    return rank
+    n_codes = 2**k
+    shifts = np.arange(k - 1, -1, -1)  # coordinate j is bit k-1-j of the code; set means -1
+    f_min = np.inf
+    near_codes, near_f = np.empty(0, dtype=np.int64), np.empty(0)
+    for start in range(0, n_codes, BLOCK_CODES):
+        codes = np.arange(start, min(start + BLOCK_CODES, n_codes))
+        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)
+        f = np.sum(-log_ncdf(signs @ ctx.rows.T), axis=1)
+        f_min = min(f_min, float(f.min()))
+        # the threshold only falls as f_min does, so a code dropped here never ties
+        near_codes, near_f = np.append(near_codes, codes), np.append(near_f, f)
+        keep = near_f <= f_min + TIE_TOL * min(1.0, f_min)
+        near_codes, near_f = near_codes[keep], near_f[keep]
+    x_opt = 1.0 - 2.0 * ((near_codes[0] >> shifts) & 1)
+    return OracleResult(
+        x_opt=x_opt, objective=f_obj(ctx, x_opt), n_evaluated=n_codes, ties=len(near_codes)
+    )

@@ -458,16 +458,3 @@ def certificate(p: LpProblem, sol: LpSolution) -> dict:
         "dual_violation": dual_violation,
         "ok": row_violation <= 1e-8 and bound_violation <= 1e-8 and dual_violation <= DUAL_TOL,
     }
-
-
-def dump_problem(p: LpProblem) -> str:
-    """Plain-text dump of rows and bounds for external cross-checking."""
-    lines = [f"lp n_x={p.n_x} n_w={p.n_w} rows={p.n_rows}", "minimize sum(w)"]
-    for t in range(p.n_rows):
-        terms = " ".join(f"{-v:+.17g}*x{j}" for j, v in enumerate(p.row_coef[t]) if v != 0.0)
-        lines.append(f"row {t}: w{p.row_w[t]} {terms} >= {p.row_off[t]:.17g}")
-    for j in range(p.n_x):
-        lines.append(f"bound x{j}: [{p.x_lower[j]:.17g}, {p.x_upper[j]:.17g}]")
-    for i in range(p.n_w):
-        lines.append(f"bound w{i}: [{p.w_lower[i]:.17g}, inf]")
-    return "\n".join(lines)

@@ -6,6 +6,7 @@ import pytest
 from gobmd.baselines import exhaustive_search, least_squares, zero_forcing
 from gobmd.loss import LossContext, f_obj
 from gobmd.model import GenConfig, RealInstance, generate_instance
+from test_stress import stressed
 
 # mpmath (dps=40) references, same instances as the loss-function tests
 NEG_LOG_NCDF_2 = 0.023012909328963488465
@@ -112,17 +113,24 @@ def test_exhaustive_counts():
 
 def test_exhaustive_matches_direct_enumeration():
     rng = np.random.default_rng(45)
+    instances = []
     for _ in range(6):
         k = int(rng.integers(2, 7))
         H = rng.standard_normal((6, k))
         r = np.sign(rng.standard_normal(6))
-        inst = _instance(H, r, sigma=0.8)
+        instances.append(_instance(H, r, sigma=0.8))
+    # objectives far below 1, where accumulated margin rounding or an absolute
+    # tie tolerance would report or pick the wrong minimum
+    instances += [stressed("60dB", 29), stressed("scaled-1e4", 16)]
+    for inst in instances:
         ctx = LossContext.from_instance(inst)
-        best = min(
-            (f_obj(ctx, np.array(c, float)), c) for c in itertools.product([1.0, -1.0], repeat=k)
-        )
+        vectors = [np.array(c) for c in itertools.product([1.0, -1.0], repeat=inst.k)]
+        f = [f_obj(ctx, x) for x in vectors]
+        first = int(np.argmin(f))  # first minimizer in lexicographic order
         res = exhaustive_search(inst)
-        assert res.objective == pytest.approx(best[0], abs=1e-9)
+        assert np.array_equal(res.x_opt, vectors[first])
+        assert res.objective == pytest.approx(f[first], abs=1e-9)
+        assert res.objective == pytest.approx(f_obj(ctx, res.x_opt), rel=1e-13, abs=0.0)
 
 
 def test_exhaustive_tie_break_lexicographic():

