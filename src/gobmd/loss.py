@@ -3,7 +3,8 @@
 The detection objective is f(x) = sum_i g_i(x) with g_i(x) = -log Phi(u_i),
 u_i = r_i h_i^T x / sigma. Each g_i is convex, so its tangent at any anchor
 point underestimates it everywhere; those tangents are the cuts the solver
-generates lazily.
+generates lazily. The same convexity bounds f over a box from any point in it,
+which is how the solver bounds a tree node by its continuous relaxation.
 """
 
 from __future__ import annotations
@@ -69,6 +70,21 @@ def _inv_mills_series(z: np.ndarray) -> np.ndarray:
     return a + (1.0 / a) * (1.0 + inv2 * (-2.0 + 10.0 * inv2))
 
 
+def _log_ncdf_and_inv_mills(z: np.ndarray):
+    """log Phi(z) and the inverse Mills ratio of a 1-d array, with log Phi evaluated once."""
+    log_cdf = log_ncdf(z)
+    lam = np.empty_like(z)
+    tail = z < INV_MILLS_ASYMPTOTIC_SWITCH
+    if tail.any():
+        lam[tail] = _inv_mills_series(z[tail])
+    rest = ~tail
+    if rest.any():
+        zr = z[rest]
+        log_pdf = -0.5 * zr * zr - _LOG_SQRT_2PI
+        lam[rest] = np.exp(log_pdf - log_cdf[rest])
+    return log_cdf, lam
+
+
 def inv_mills(z):
     """Inverse Mills ratio phi(z)/Phi(z); positive, strictly decreasing.
 
@@ -76,18 +92,8 @@ def inv_mills(z):
     far in the left tail the asymptotic series takes over.
     """
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    tail = z < INV_MILLS_ASYMPTOTIC_SWITCH
-    if tail.any():
-        out[tail] = _inv_mills_series(z[tail])
-    rest = ~tail
-    if rest.any():
-        zr = z[rest]
-        log_pdf = -0.5 * zr * zr - _LOG_SQRT_2PI
-        out[rest] = np.exp(log_pdf - log_ncdf(zr))
-    return float(out[0]) if scalar else out
+    lam = _log_ncdf_and_inv_mills(np.atleast_1d(z))[1]
+    return float(lam[0]) if z.ndim == 0 else lam
 
 
 @dataclass
@@ -159,3 +165,82 @@ def make_cut(ctx: LossContext, i: int, point: np.ndarray) -> Cut:
     offset = g_eval(ctx, i, point) - float(grad @ point)
     point.setflags(write=False)
     return Cut(row=i, point=point, grad=grad, offset=offset)
+
+
+# Projected Newton on a box: stop once the certified gap f(x) - bound is below
+# NEWTON_GAP_TOL * max(1, |f|), or after NEWTON_MAX_ITER steps. A step is
+# accepted on ARMIJO_SLOPE of the first-order decrease, give or take
+# F_ROUNDOFF * |f|: near the minimizer a Newton step gains less than the
+# rounding error of f, and a rejected step would stall there.
+NEWTON_GAP_TOL = 1e-12
+NEWTON_MAX_ITER = 30
+ARMIJO_SLOPE = 1e-4
+F_ROUNDOFF = 1e-13
+LINE_SEARCH_HALVINGS = 30
+ACTIVE_EPS = 1e-3  # upper limit of the epsilon-active band at the bounds
+HESS_RIDGE = 1e-12  # relative to the largest Hessian diagonal entry
+
+
+def _newton_terms(rows: np.ndarray, x: np.ndarray):
+    """f(x), its gradient, and the Hessian weights g_i'' = lam (u + lam), from one log Phi pass."""
+    u = rows @ x
+    log_cdf, lam = _log_ncdf_and_inv_mills(u)
+    return -float(log_cdf.sum()), -(lam @ rows), lam * (u + lam)
+
+
+def _box_bound(f, grad, x, lower, upper) -> float:
+    # the LP value over the box of the N tangents at x summed into one row
+    return f + float(np.minimum(grad * (lower - x), grad * (upper - x)).sum())
+
+
+def box_relaxation(ctx: LossContext, lower: np.ndarray, upper: np.ndarray, x0: np.ndarray):
+    """A minimizer of f over the box [lower, upper] and the lower bound it certifies.
+
+    Returns ``(x, bound)`` with ``bound = f(x) + sum_j min(df/dx_j (lower_j - x_j),
+    df/dx_j (upper_j - x_j))``. By convexity that is a lower bound on f over
+    the whole box for any x in it, so the accuracy of the minimization never
+    touches its validity; at the box minimizer it equals the minimum.
+
+    The minimizer is a projected Newton method (Bertsekas, 1982) started at
+    ``x0`` clipped to the box: Newton steps on the coordinates off the
+    epsilon-active bounds, diagonally scaled gradient steps on the others, an
+    Armijo search along the projection arc. ``lower == upper`` fixes a coordinate.
+    """
+    rows = ctx.rows
+    x = np.clip(x0, lower, upper)
+    movable = lower < upper
+    f, grad, curv = _newton_terms(rows, x)
+    bound = _box_bound(f, grad, x, lower, upper)
+    for _ in range(NEWTON_MAX_ITER):
+        if f - bound <= NEWTON_GAP_TOL * max(1.0, abs(f)):
+            break
+        pg = x - np.clip(x - grad, lower, upper)
+        eps = min(ACTIVE_EPS, float(np.abs(pg).max()))
+        active = ((x <= lower + eps) & (grad > 0)) | ((x >= upper - eps) & (grad < 0))
+        newton = movable & ~active
+        scaled = movable & active
+        d = np.zeros_like(x)
+        if newton.any():
+            R = rows[:, newton]
+            hess = (R.T * curv) @ R
+            # a ridge keeps the step finite where H is singular (equal columns, N < K)
+            hess.flat[:: len(hess) + 1] += HESS_RIDGE * hess.diagonal().max() + np.finfo(float).tiny
+            d[newton] = -np.linalg.solve(hess, grad[newton])
+        if scaled.any():
+            diag = curv @ rows[:, scaled] ** 2
+            d[scaled] = -grad[scaled] / np.maximum(diag, np.finfo(float).tiny)
+        t = 1.0
+        for _ in range(LINE_SEARCH_HALVINGS):
+            x_new = np.clip(x + t * d, lower, upper)
+            f_new, grad_new, curv_new = _newton_terms(rows, x_new)
+            slope = min(0.0, float(grad @ (x_new - x)))
+            if f_new <= f + ARMIJO_SLOPE * slope + F_ROUNDOFF * abs(f):
+                break
+            t *= 0.5
+        else:
+            break  # no descent left at double precision
+        x, f, grad, curv = x_new, f_new, grad_new, curv_new
+        bound = max(bound, _box_bound(f, grad, x, lower, upper))
+    if not np.isfinite(bound):
+        bound = -np.inf
+    return x, bound

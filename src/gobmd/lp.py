@@ -37,7 +37,7 @@ from scipy.linalg.blas import dger as _dger
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
 FEAS_TOL = 1e-9  # primal bound violation that triggers a pivot
-PIV_TOL = 1e-9  # minimum pivot magnitude considered usable
+PIV_TOL = 1e-9  # minimum usable pivot, scaled by the pivot row's largest entry where that exceeds 1
 DUAL_TOL = 1e-9  # reduced-cost certificate tolerance
 DEGEN_TOL = 1e-12  # dual step below this counts as degenerate
 DEGEN_LIMIT = 40  # consecutive degenerate pivots before Bland's rule engages
@@ -288,7 +288,10 @@ class _DualSimplex:
 
             alpha = self._yA(self.Binv[r])
             s_alpha = self.sgn * alpha
-            idx = np.flatnonzero(s_alpha < -PIV_TOL if leaving_low else s_alpha > PIV_TOL)
+            # relative to the pivot row's scale: an entry that is noise next to
+            # the rest of the row would make a near-singular basis
+            tol = PIV_TOL * max(1.0, float(np.abs(alpha).max()))
+            idx = np.flatnonzero(s_alpha < -tol if leaving_low else s_alpha > tol)
             if idx.size == 0:
                 self._duals()
                 self.v[self.basis] = self.vb

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import lp as lpmod
 from .baselines import least_squares
-from .loss import Cut, LossContext, make_cut
+from .loss import Cut, LossContext, box_relaxation, make_cut
 from .model import RealInstance, quantize_one_bit
 
 # objective gap accepted by the incremental loop's optimality certificate
@@ -108,13 +108,18 @@ class CutPool:
 
 @dataclass
 class Node:
-    """One branch-and-bound subproblem: fixed signs, inherited bound, warm state."""
+    """One branch-and-bound subproblem: fixed signs, inherited bound, warm state.
+
+    ``x_relax`` is the parent's relaxation minimizer, where this node's
+    projected Newton starts.
+    """
 
     fixed_pos: tuple[int, ...]
     fixed_neg: tuple[int, ...]
     bound: float
     warm: lpmod.BasisToken | None
     depth: int
+    x_relax: np.ndarray | None = None
 
     def __post_init__(self):
         if set(self.fixed_pos) & set(self.fixed_neg):
@@ -183,6 +188,7 @@ class SolveReport:
     ratio_s_over_c: float
     wall_time: float
     options: dict
+    bound_prunes: int = 0
     incumbent_history: list = field(default_factory=list)
     bound_history: list = field(default_factory=list)
     outer_lower_bounds: list = field(default_factory=list)
@@ -195,6 +201,7 @@ class SolveReport:
             "objective": _json_num(self.objective),
             "nodes_processed": self.nodes_processed,
             "lp_solves": self.lp_solves,
+            "bound_prunes": self.bound_prunes,
             "cuts_added": self.cuts_added,
             "pool_size": self.pool_size,
             "pool_capacity": self.pool_capacity,
@@ -222,9 +229,13 @@ class _TreeSearch:
 
     With ``generate_cuts`` the search is the full global algorithm: integral
     LP optima are checked against the true per-row losses and violated
-    tangents are added in place (re-solving the tightened LP). Without it the
-    search solves the restricted MILP on the pool exactly, which is what the
-    outer incremental loop needs.
+    tangents are added in place (re-solving the tightened LP). Before its LP,
+    each node is bounded by the continuous relaxation min f over its box and
+    pruned on that bound when it can be; otherwise the bound raises the
+    children's, and its minimizer is where their relaxations start. Without
+    ``generate_cuts`` the search solves the restricted MILP on the pool
+    exactly, which is what the outer incremental loop needs; f bounds nothing
+    there, so no relaxation is taken.
 
     A node LP that ends non-optimal (a failed warm start is first retried
     cold) ends the search with status ``numerical-failure``; the incumbent
@@ -239,16 +250,24 @@ class _TreeSearch:
         self.deadline = deadline
         self.node_budget = node_budget if node_budget is not None else opts.node_limit
         self.incumbent: Incumbent | None = None
+        self.upper = np.inf
         self.nodes_processed = 0
         self.lp_solves = 0
+        self.bound_prunes = 0
         self.incumbent_history: list = []
         self.bound_history: list = []
 
+    def offer(self, x_int, w, f):
+        """Make x_int, with LP values w and objective f, the incumbent if f improves on it."""
+        if f < self.upper:
+            self.upper = f
+            self.incumbent = Incumbent(x_int, w, f)
+            self.incumbent_history.append((self.nodes_processed, f))
+
     def run(self) -> str:
         opts = self.opts
-        upper = np.inf
         open_nodes = NodePool()
-        open_nodes.push(Node((), (), -np.inf, None, 0))
+        open_nodes.push(Node((), (), -np.inf, None, 0, np.zeros(self.ctx.k)))
 
         while len(open_nodes):
             if self.nodes_processed >= self.node_budget:
@@ -256,19 +275,27 @@ class _TreeSearch:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return "time-limit"
             node = open_nodes.pop()
-            if node.bound >= upper - opts.eps_prune:
+            if node.bound >= self.upper - opts.eps_prune:
                 continue
-            self.nodes_processed += 1
             self.bound_history.append(node.bound)
+            xl, xu = self._box(node)
+            bound, x_relax = node.bound, node.x_relax
+            if self.generate_cuts:
+                x_relax, relax = box_relaxation(self.ctx, xl, xu, node.x_relax)
+                if relax >= self.upper - opts.eps_prune:
+                    self.bound_prunes += 1
+                    continue
+                bound = max(bound, relax)
+            self.nodes_processed += 1
 
-            problem = self._build_problem(node)
+            problem = self._build_problem(xl, xu)
             warm = node.warm
             while True:
                 sol = self._solve(problem, warm)
                 if sol is None:
                     return "numerical-failure"
                 f_lp = sol.objective
-                if f_lp >= upper - opts.eps_prune:
+                if f_lp >= self.upper - opts.eps_prune:
                     break  # case (1): bound prune
                 x_lp = sol.x
                 if np.all(np.abs(x_lp) >= 1.0 - opts.eps_int):
@@ -279,58 +306,45 @@ class _TreeSearch:
                     not_exact = np.flatnonzero(np.abs(x_lp) != 1.0)
                     if not_exact.size:
                         j = int(not_exact[0])
-                        self._branch(open_nodes, node, j, f_lp, sol.basis)
+                        self._branch(open_nodes, node, j, max(f_lp, bound), sol.basis, x_relax)
                         break
                     x_int = x_lp.copy()
                     if not self.generate_cuts:
                         # restricted MILP: an integral point is already optimal
                         # for this subtree at the pool's objective
-                        if f_lp < upper:
-                            upper = f_lp
-                            self.incumbent = Incumbent(x_int, sol.w.copy(), f_lp)
-                            self.incumbent_history.append((self.nodes_processed, f_lp))
+                        self.offer(x_int, sol.w.copy(), f_lp)
                         break
                     g = self.ctx.g_all(x_int)
-                    viol = np.flatnonzero(sol.w < g - opts.eps_cut)
-                    if viol.size == 0:
-                        # case (2.1): feasible for the true losses; store the
-                        # exact objective so pruning never drifts by eps_cut
-                        f_true = float(g.sum())
-                        if f_true < upper:
-                            upper = f_true
-                            self.incumbent = Incumbent(x_int, g.copy(), f_true)
-                            self.incumbent_history.append((self.nodes_processed, f_true))
-                        break
-                    new_rows = self._add_cuts(viol, x_int)
+                    new_rows = self._add_cuts(np.flatnonzero(sol.w < g - opts.eps_cut), x_int)
                     if not new_rows:
-                        # unreachable in exact arithmetic: pooled tangents force
-                        # w_i >= g_i at their own anchor; keep the honest value
-                        f_true = float(g.sum())
-                        if f_true < upper:
-                            upper = f_true
-                            self.incumbent = Incumbent(x_int, g.copy(), f_true)
-                            self.incumbent_history.append((self.nodes_processed, f_true))
+                        # case (2.1): feasible for the true losses (or, unreachable
+                        # in exact arithmetic, every violated tangent is already
+                        # pooled); store the exact objective so pruning never
+                        # drifts by eps_cut
+                        self.offer(x_int, g.copy(), float(g.sum()))
                         break
                     problem = lpmod.add_rows(problem, new_rows)  # case (2.2)
                     warm = sol.basis
                     continue
                 # case (3): branch
                 j = select_branch_var(x_lp, opts.eps_int)
-                self._branch(open_nodes, node, j, f_lp, sol.basis)
+                self._branch(open_nodes, node, j, max(f_lp, bound), sol.basis, x_relax)
                 break
         return "optimal"
 
-    def _branch(self, open_nodes, node, j, bound, warm):
-        open_nodes.push(Node(node.fixed_pos + (j,), node.fixed_neg, bound, warm, node.depth + 1))
-        open_nodes.push(Node(node.fixed_pos, node.fixed_neg + (j,), bound, warm, node.depth + 1))
+    def _branch(self, open_nodes, node, j, bound, warm, x_relax):
+        open_nodes.push(Node(node.fixed_pos + (j,), node.fixed_neg, bound, warm, node.depth + 1, x_relax))
+        open_nodes.push(Node(node.fixed_pos, node.fixed_neg + (j,), bound, warm, node.depth + 1, x_relax))
 
-    def _build_problem(self, node: Node) -> lpmod.LpProblem:
+    def _box(self, node: Node):
+        """The node's box: x_j in [-1, 1], collapsed to the fixed sign where one is fixed."""
         xl = np.full(self.ctx.k, -1.0)
         xu = np.full(self.ctx.k, 1.0)
-        for j in node.fixed_pos:
-            xl[j] = 1.0
-        for j in node.fixed_neg:
-            xu[j] = -1.0
+        xl[list(node.fixed_pos)] = 1.0
+        xu[list(node.fixed_neg)] = -1.0
+        return xl, xu
+
+    def _build_problem(self, xl, xu) -> lpmod.LpProblem:
         row_w, coef, off = self.pool.lp_rows()
         return lpmod.LpProblem(
             n_x=self.ctx.k,
@@ -372,6 +386,9 @@ def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> So
     n_initial = len(pool)
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
     search = _TreeSearch(ctx, pool, opts, generate_cuts=True, deadline=deadline)
+    x_zf = np.array(pool.cuts[0].point)  # every seed tangent is anchored at the ZF signs
+    g_zf = ctx.g_all(x_zf)
+    search.offer(x_zf, g_zf, float(g_zf.sum()))
     status = search.run()
     wall = time.perf_counter() - t0
     inc = search.incumbent
@@ -388,6 +405,7 @@ def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> So
         ratio_s_over_c=pool.ratio(),
         wall_time=wall,
         options=opts.to_dict(),
+        bound_prunes=search.bound_prunes,
         incumbent_history=search.incumbent_history,
         bound_history=search.bound_history,
     )

@@ -74,12 +74,18 @@ def test_solve_limit_exit_code(tmp_path):
 
 def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     real = gobmd.lp.solve_lp
-    monkeypatch.setattr(
-        gobmd.lp, "solve_lp", lambda p, warm=None: dataclasses.replace(real(p, warm), status="iteration-limit")
-    )
-    inst = _gen(tmp_path)
+    calls = []
+
+    def failing(p, warm=None):
+        calls.append(warm)
+        return dataclasses.replace(real(p, warm), status="iteration-limit")
+
+    monkeypatch.setattr(gobmd.lp, "solve_lp", failing)
+    # the relaxation bound does not prune this root, so its node LP runs
+    inst = _gen(tmp_path, n_ant=10, k=5, snr=0.0, seed=41)
     capsys.readouterr()
     assert main(["solve", "--in", inst]) == 2
+    assert calls
     out = capsys.readouterr().out
     assert json.loads(out[out.index("{") :])["status"] == "numerical-failure"
 

@@ -1,5 +1,8 @@
 """LP solver checks: hand oracles, scipy cross-validation, warm starts, certificates."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -20,7 +23,7 @@ from gobmd.lp import (
     solve_lp,
 )
 from gobmd.model import GenConfig, generate_instance
-from gobmd.solver import initial_cuts, solve_gobmd
+from gobmd.solver import initial_cuts
 
 
 def scipy_optimum(p) -> float:
@@ -439,20 +442,60 @@ def test_warm_basis_with_keyless_w_restarts_cold():
     assert certificate(p, sol)["ok"]
 
 
+def test_tiny_pivot_row_entries_are_not_pivots():
+    # The node LP of 40 dB stress instance 1 (8 antennas, 4 users) with x_0
+    # fixed at -1 and the 16 ZF seed rows. Row 0's coefficients are at most
+    # 3.8e-9, because the inverse Mills ratio has nearly underflowed. Against
+    # an absolute pivot tolerance one of them was taken as a pivot, and the
+    # working matrix then failed COND_LIMIT on the warm and the cold start.
+    inst = generate_instance(GenConfig(8, 4, 40.0, 9_100), 1)
+    ctx = LossContext.from_instance(inst)
+    row_w, coef, off = initial_cuts(inst, ctx).lp_rows()
+    assert 0.0 < np.abs(coef[0]).max() < 4e-9
+    p = fix_variable(make_problem(ctx.k, ctx.n, list(zip(row_w, coef, off))), 0, -1.0)
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-8)
+    assert certificate(p, sol)["ok"]
+
+
+PINNED_NODE_LPS = json.loads((Path(__file__).parent / "data" / "pinned_node_lps.json").read_text())
+
+
 @pytest.mark.parametrize(
-    "n_ant, n_users, snr, seed, trial, nodes, lp_solves, cuts",
-    [
-        pytest.param(18, 5, 10.0, 7001, 0, 101, 105, 125, id="18-10.0-7001-0-101-105-125"),
-        pytest.param(24, 5, 5.0, 7003, 1, 75, 78, 142, id="24-5.0-7003-1-75-78-142"),
-        pytest.param(32, 5, 15.0, 7004, 0, 57, 60, 133, id="32-15.0-7004-0-57-60-133"),
-        # 48 antennas: node LPs of 96-259 rows, where the structured products matter most
-        pytest.param(48, 7, 10.0, 7005, 2, 105, 107, 163, id="48-7-10.0-7005-2-105-107-163"),
-    ],
+    "case",
+    PINNED_NODE_LPS,
+    # node, LP and cut counts of the solve_gobmd search the LPs were captured from
+    ids=["18-10.0-7001-0-101-105-125", "24-5.0-7003-1-75-78-142", "32-15.0-7004-0-57-60-133",
+         "48-7-10.0-7005-2-105-107-163"],
 )
-def test_pivot_path_pinned(n_ant, n_users, snr, seed, trial, nodes, lp_solves, cuts):
-    # Counts recorded with a dense m x m basis inverse and, for the 48-antenna
-    # row, with a dense constraint matrix. The structured basis algebra and
-    # products must reproduce every pivot choice; a drift shows as another tree.
-    rep = solve_gobmd(generate_instance(GenConfig(n_ant, n_users, snr, seed), trial))
-    assert rep.status == "optimal"
-    assert (rep.nodes_processed, rep.lp_solves, rep.cuts_added) == (nodes, lp_solves, cuts)
+def test_pivot_path_pinned(case):
+    # Node LPs recorded from the solve_gobmd search on these instances before
+    # it bounded nodes by the convex relaxation; that search reproduced the
+    # counts in the ids, which were first recorded with a dense m x m basis
+    # inverse and, for the 48-antenna case, a dense constraint matrix (node
+    # LPs of 96-259 rows). Each entry is (fixed_pos, fixed_neg, pool rows,
+    # warm-start source, iterations, objective): its rows are a prefix of the
+    # ZF seed pool followed by the recorded tangents, and its warm start is
+    # the basis of an earlier entry, as in the search. Replaying them in order
+    # must reproduce every pivot choice: a drift shows as another iteration
+    # count. The search itself may change without touching this test.
+    n_ant, n_users, snr, seed, trial = case["instance"]
+    inst = generate_instance(GenConfig(n_ant, n_users, snr, seed), trial)
+    ctx = LossContext.from_instance(inst)
+    pool = initial_cuts(inst, ctx)
+    for signs, rows in case["cuts"]:
+        anchor = np.array([1.0 if s == "+" else -1.0 for s in signs])
+        for i in rows:
+            pool.add(make_cut(ctx, i, anchor))
+    row_w, coef, off = pool.lp_rows()
+    bases = []
+    for fixed_pos, fixed_neg, m, warm, iterations, objective in case["lps"]:
+        xl, xu = np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)
+        xl[fixed_pos] = 1.0
+        xu[fixed_neg] = -1.0
+        p = make_problem(ctx.k, ctx.n, list(zip(row_w[:m], coef[:m], off[:m])), xl, xu)
+        sol = solve_lp(p, None if warm is None else bases[warm])
+        bases.append(sol.basis)
+        assert sol.status == "optimal"
+        assert (sol.iterations, sol.objective) == (iterations, pytest.approx(objective, rel=1e-12))

@@ -1,12 +1,16 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.optimize import minimize
 
+import gobmd.loss
 import gobmd.lp
 from gobmd.baselines import exhaustive_search, least_squares
-from gobmd.loss import LossContext, f_obj
+from gobmd.loss import LossContext, box_relaxation, f_obj
 from gobmd.model import GenConfig, RealInstance, generate_instance, quantize_one_bit
 from gobmd.solver import (
     Node,
@@ -17,6 +21,7 @@ from gobmd.solver import (
     solve_gobmd,
     solve_incremental,
 )
+from test_stress import stressed
 
 NEG_LOG_NCDF_2 = 0.023012909328963488465
 
@@ -103,6 +108,7 @@ def test_incremental_matches_gobmd():
         b = solve_incremental(inst)
         assert b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
+        assert b.bound_prunes == 0  # f bounds nothing in the restricted MILP
 
 
 def test_incremental_lower_bounds_monotone():
@@ -234,3 +240,72 @@ def test_options_validation():
         SolverOptions(eps_cut=0.0)
     with pytest.raises(ValueError):
         SolverOptions(node_limit=0)
+
+
+def _random_box(rng, k):
+    """[-1, 1]^k with each coordinate fixed to a random sign with probability 0.3."""
+    lower, upper = np.full(k, -1.0), np.full(k, 1.0)
+    for j in np.flatnonzero(rng.random(k) < 0.3):
+        lower[j] = upper[j] = rng.choice([-1.0, 1.0])
+    return lower, upper
+
+
+def _vertex_minimum(ctx, lower, upper):
+    free = np.flatnonzero(lower < upper)
+    vertices = np.tile(lower, (2 ** free.size, 1))
+    vertices[:, free] = list(itertools.product([-1.0, 1.0], repeat=free.size))
+    return float(np.min(np.sum(-special.log_ndtr(vertices @ ctx.rows.T), axis=1)))
+
+
+def test_relaxation_bound_is_valid_at_inexact_points(monkeypatch):
+    rng = np.random.default_rng(90)
+    checked = 0
+    for case in range(60):
+        k_users = int(rng.integers(1, 6))  # K = 2..10
+        inst = generate_instance(GenConfig(int(rng.integers(k_users, 10)), k_users, float(rng.uniform(-5, 30)), case))
+        ctx = LossContext.from_instance(inst)
+        lower, upper = _random_box(rng, ctx.k)
+        best = _vertex_minimum(ctx, lower, upper)
+        # bounds taken at random points and after 0, 1 and 2 Newton steps
+        for max_iter in (0, 1, 2):
+            monkeypatch.setattr(gobmd.loss, "NEWTON_MAX_ITER", max_iter)
+            for x0 in (rng.uniform(lower, upper), rng.uniform(-3.0, 3.0, ctx.k)):
+                x, bound = box_relaxation(ctx, lower, upper, x0)
+                assert np.all((lower <= x) & (x <= upper))
+                assert bound <= best + 1e-12 * max(1.0, best)
+                checked += 1
+    assert checked == 360
+
+
+def test_relaxation_bound_is_tight_at_the_newton_minimizer():
+    rng = np.random.default_rng(91)
+    for case in range(30):
+        k_users = int(rng.integers(1, 8))
+        inst = generate_instance(GenConfig(int(rng.integers(k_users, 24)), k_users, float(rng.uniform(-5, 20)), 100 + case))
+        ctx = LossContext.from_instance(inst)
+        lower, upper = _random_box(rng, ctx.k)
+
+        def f_and_grad(x):
+            u = ctx.rows @ x
+            log_cdf = special.log_ndtr(u)
+            mills = np.exp(-0.5 * u * u - 0.5 * np.log(2 * np.pi) - log_cdf)
+            return -float(log_cdf.sum()), -(mills @ ctx.rows)
+
+        ref = minimize(f_and_grad, np.zeros(ctx.k), jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lower, upper)), options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+        x, bound = box_relaxation(ctx, lower, upper, np.zeros(ctx.k))
+        assert bound <= ref.fun + 1e-12 * max(1.0, ref.fun)  # valid, up to rounding
+        assert bound == pytest.approx(ref.fun, rel=1e-8)
+        assert f_obj(ctx, x) == pytest.approx(ref.fun, rel=1e-8)
+
+
+@pytest.mark.parametrize("case", ["60dB", "scaled-1e4"])
+def test_relaxation_bound_finite_on_stress_instances(case):
+    rng = np.random.default_rng(92)
+    for trial in range(25):
+        ctx = LossContext.from_instance(stressed(case, trial))
+        for lower, upper in [(np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)), _random_box(rng, ctx.k)]:
+            x, bound = box_relaxation(ctx, lower, upper, np.zeros(ctx.k))
+            assert np.isfinite(bound) and np.isfinite(f_obj(ctx, x))
+            best = _vertex_minimum(ctx, lower, upper)
+            assert bound <= best + 1e-12 * max(1.0, best)
