@@ -34,12 +34,7 @@ from .solver import (
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    TrialRecord,
-    run_ber_sweep,
     run_experiment,
-    run_phase_grid,
-    run_ratio_sweep,
-    run_runtime_sweep,
     write_results,
 )
 
@@ -78,11 +73,6 @@ __all__ = [
     "solve_incremental",
     "ExperimentConfig",
     "ExperimentResult",
-    "TrialRecord",
-    "run_ber_sweep",
     "run_experiment",
-    "run_phase_grid",
-    "run_ratio_sweep",
-    "run_runtime_sweep",
     "write_results",
 ]

@@ -1,4 +1,4 @@
-"""Command-line front end: instance generation, single solves, and the four sweeps."""
+"""Command-line front end: instance generation, single solves, and the sweeps of ``harness.SWEEPS``."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import json
 import re
 import sys
 
-from .harness import DETECTORS, ExperimentConfig, run_experiment, write_results
+from .harness import DETECTORS, SWEEPS, ExperimentConfig, run_experiment, write_results
 from .model import GenConfig, InstanceFormatError, generate_instance, load_instance, save_instance
 from .solver import SolverOptions
 
@@ -73,14 +73,10 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="also write the report JSON here")
     _add_solver_flags(p)
 
-    for name, help_text in [
-        ("ber", "BER versus SNR sweep"),
-        ("runtime", "solve-time versus user-count sweep"),
-        ("ratio", "terminal cut-pool ratio versus user-count sweep"),
-        ("phase", "BER over the (N/K, SNR) grid"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_experiment_flags(p, with_ratios=(name == "phase"))
+    for experiment, sweep in SWEEPS.items():
+        p = sub.add_parser(sweep.command, help=sweep.help)
+        p.set_defaults(experiment=experiment)
+        _add_experiment_flags(p, with_ratios=sweep.takes_ratios)
     return parser
 
 
@@ -140,20 +136,14 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
-def _cmd_experiment(kind: str, args) -> int:
+def _cmd_experiment(args) -> int:
     resolved = _resolve(args, _EXPERIMENT_DEFAULTS)
     for required in ("k_users", "out"):
         if resolved[required] is None:
             flag = "--" + required.replace("_", "-")
-            raise UsageError(f"gobmd {kind}: the following arguments are required: {flag}")
-    experiment = {
-        "ber": "ber-sweep",
-        "runtime": "runtime-sweep",
-        "ratio": "ratio-sweep",
-        "phase": "phase-grid",
-    }[kind]
+            raise UsageError(f"gobmd {args.command}: the following arguments are required: {flag}")
     cfg = ExperimentConfig(
-        experiment=experiment,
+        experiment=args.experiment,
         n_antennas=resolved["n_ant"],
         k_users=_parse_list(resolved["k_users"], int),
         snr_db=_parse_list(resolved["snr"], float),
@@ -215,7 +205,7 @@ def main(argv=None) -> int:
             return _cmd_gen(args)
         if args.command == "solve":
             return _cmd_solve(args)
-        return _cmd_experiment(args.command, args)
+        return _cmd_experiment(args)
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_ERROR

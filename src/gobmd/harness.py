@@ -15,6 +15,7 @@ import os
 import statistics
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -26,25 +27,7 @@ from .loss import LossContext, f_obj
 from .model import RNG_IDENTITY, GenConfig, RealInstance, format_double, generate_instance
 from .solver import SolverOptions, solve_gobmd, solve_incremental
 
-EXPERIMENTS = ("ber-sweep", "runtime-sweep", "ratio-sweep", "phase-grid")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-RECORD_COLUMNS = [
-    "k_users",
-    "n_antennas",
-    "snr_db",
-    "trial",
-    "seed",
-    "detector",
-    "ber",
-    "objective",
-    "wall_time",
-    "nodes",
-    "cuts",
-    "ratio_s_over_c",
-    "status",
-    "ties",
-]
 
 
 @dataclass
@@ -62,50 +45,36 @@ class ExperimentConfig:
     only_optimal: bool = False  # aggregate BER over optimal-status trials only
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        sweep = SWEEPS.get(self.experiment)
+        if sweep is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not self.detectors:
-            raise ValueError("detector list must be non-empty")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+        for name in ("detectors", "k_users", "snr_db") + (("ratios",) if sweep.takes_ratios else ()):
+            values = getattr(self, name) or []
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            # a repeated value would run its points twice and merge them into one summary row
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has repeated values: {values}")
         for d in self.detectors:
             if d not in DETECTORS:
                 raise ValueError(f"unknown detector {d!r}")
-        if not self.k_users:
-            raise ValueError("k_users must be non-empty")
-        if self.experiment == "ratio-sweep" and "gobmd" not in self.detectors:
-            raise ValueError("ratio-sweep requires the gobmd detector")
-        if self.experiment == "phase-grid":
-            if not self.ratios:
-                raise ValueError("phase-grid requires a non-empty ratios axis")
-            if len(self.k_users) != 1:
-                raise ValueError("phase-grid uses a single k_users value as the base")
-        elif self.n_antennas is None:
+        if sweep.detector is not None and sweep.detector not in self.detectors:
+            raise ValueError(f"{self.experiment} requires the {sweep.detector} detector")
+        if sweep.takes_ratios and len(self.k_users) != 1:
+            raise ValueError(f"{self.experiment} uses a single k_users value as the base")
+        if not sweep.takes_ratios and self.n_antennas is None:
             raise ValueError("n_antennas is required")
-        if not self.snr_db:
-            raise ValueError("snr_db must be non-empty")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if sweep.single_snr and len(self.snr_db) != 1:
+            raise ValueError(f"{self.experiment} uses a single SNR value")
 
     def to_dict(self) -> dict:
         d = asdict(self)
         d["options"] = self.options.to_dict()
         return d
-
-
-@dataclass
-class TrialRecord:
-    trial: int
-    seed: int
-    detector: str
-    ber: float | None
-    objective: float | None
-    wall_time: float
-    nodes: int
-    cuts: int
-    ratio_s_over_c: float | None
-    status: str
-    ties: int | None = None
 
 
 @dataclass
@@ -157,41 +126,33 @@ DETECTORS = {
 }
 
 
-def solve_with_detector(detector: str, instance: RealInstance, opts: SolverOptions) -> TrialRecord:
-    """Run one detector on one instance and condense its report into a record."""
-    if detector not in DETECTORS:
-        raise ValueError(f"unknown detector {detector!r}")
-    report = DETECTORS[detector](instance, opts)
-    x = report["x_star"]
-    ber = None
-    if x is not None and instance.x_true is not None:
-        ber = float(np.mean(instance.x_true != np.asarray(x, dtype=float)))
-    return TrialRecord(
-        trial=-1,
-        seed=-1,
-        detector=detector,
-        ber=ber,
-        objective=report["objective"],
-        wall_time=report["wall_time"],
-        nodes=report.get("nodes_processed", 0),
-        cuts=report.get("cuts_added", 0),
-        ratio_s_over_c=report.get("ratio_s_over_c"),
-        status=report["status"],
-        ties=report.get("ties"),
-    )
-
-
 def _trial_task(args):
+    """One record per detector on the point's instance of this trial."""
     point, gen_cfg, trial, detectors, opts = args
     instance = generate_instance(gen_cfg, trial)
     rows = []
     for det in detectors:
-        rec = solve_with_detector(det, instance, opts)
-        rec.trial = trial
-        rec.seed = gen_cfg.seed
-        row = dict(point)
-        row.update(asdict(rec))
-        rows.append(row)
+        report = DETECTORS[det](instance, opts)
+        x = report["x_star"]
+        ber = None
+        if x is not None and instance.x_true is not None:
+            ber = float(np.mean(instance.x_true != np.asarray(x, dtype=float)))
+        rows.append(
+            {
+                **point,
+                "trial": trial,
+                "seed": gen_cfg.seed,
+                "detector": det,
+                "ber": ber,
+                "objective": report["objective"],
+                "wall_time": report["wall_time"],
+                "nodes": report.get("nodes_processed", 0),
+                "cuts": report.get("cuts_added", 0),
+                "ratio_s_over_c": report.get("ratio_s_over_c"),
+                "status": report["status"],
+                "ties": report.get("ties"),
+            }
+        )
     return rows
 
 
@@ -246,127 +207,80 @@ def _metadata(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _single_snr_points(cfg: ExperimentConfig, experiment: str) -> list[tuple[dict, GenConfig]]:
-    """One point per user count at the config's only SNR value."""
-    if len(cfg.snr_db) != 1:
-        raise ValueError(f"{experiment} uses a single SNR value")
-    snr = cfg.snr_db[0]
-    return [
-        ({"k_users": k, "n_antennas": cfg.n_antennas, "snr_db": snr}, GenConfig(cfg.n_antennas, k, snr, cfg.seed))
-        for k in cfg.k_users
-    ]
+def _ber_stats(rows, cfg) -> dict:
+    bers = [r["ber"] for r in rows if r["ber"] is not None and not (cfg.only_optimal and r["status"] != "optimal")]
+    return {"mean_ber": float(np.mean(bers)) if bers else None, "trials": len(bers)}
 
 
-def _mean_ber_rows(cfg, records, keys) -> list[dict]:
-    bers = {}  # (point..., detector) -> BERs, in first-seen order
-    for row in records:
-        group = bers.setdefault(tuple(row[k] for k in keys) + (row["detector"],), [])
-        if row["ber"] is not None and not (cfg.only_optimal and row["status"] != "optimal"):
-            group.append(row["ber"])
-    out = []
-    for key, values in bers.items():
-        summary = dict(zip(keys, key[:-1]))
-        summary["detector"] = key[-1]
-        summary["mean_ber"] = float(np.mean(values)) if values else None
-        summary["trials"] = len(values)
-        out.append(summary)
-    return out
+def _time_stats(rows, cfg) -> dict:
+    times = [r["wall_time"] for r in rows]
+    return {
+        "mean_wall_time": float(np.mean(times)),
+        "median_wall_time": float(statistics.median(times)),
+        "trials": len(rows),
+    }
 
 
-def run_ber_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Mean BER per (k, SNR, detector) with instances paired across detectors."""
-    points = []
-    for k in cfg.k_users:
-        for snr in cfg.snr_db:
-            point = {"k_users": k, "n_antennas": cfg.n_antennas, "snr_db": snr}
-            points.append((point, GenConfig(cfg.n_antennas, k, snr, cfg.seed)))
-    records = _run_points(cfg, points)
-    summary = _mean_ber_rows(cfg, records, ["k_users", "snr_db"])
-    return ExperimentResult(
-        records=records,
-        summary=summary,
-        metadata=_metadata(cfg),
-        record_columns=RECORD_COLUMNS,
-        summary_columns=["k_users", "snr_db", "detector", "mean_ber", "trials"],
-    )
+def _ratio_stats(rows, cfg) -> dict:
+    return {"mean_ratio_s_over_c": float(np.mean([r["ratio_s_over_c"] for r in rows])), "trials": len(rows)}
 
 
-def run_runtime_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Mean/median solve time per (k, detector) at a single SNR."""
-    records = _run_points(cfg, _single_snr_points(cfg, "runtime-sweep"))
-    summary = []
-    for k in cfg.k_users:
-        for det in cfg.detectors:
-            rows = [r for r in records if r["k_users"] == k and r["detector"] == det]
-            times = [r["wall_time"] for r in rows]
-            summary.append(
-                {
-                    "k_users": k,
-                    "detector": det,
-                    "mean_wall_time": float(np.mean(times)),
-                    "median_wall_time": float(statistics.median(times)),
-                    "trials": len(rows),
-                }
-            )
-    return ExperimentResult(
-        records=records,
-        summary=summary,
-        metadata=_metadata(cfg),
-        record_columns=RECORD_COLUMNS,
-        summary_columns=["k_users", "detector", "mean_wall_time", "median_wall_time", "trials"],
-    )
+@dataclass(frozen=True)
+class Sweep:
+    """One experiment: its CLI subcommand and how its records are summarized.
+
+    Records are grouped by the ``group_by`` keys in first-seen order; each group
+    gives one summary row of those keys followed by ``stats(rows, cfg)``, whose
+    keys name the statistics columns. With ``detector`` set, only that
+    detector's records are summarized.
+    """
+
+    command: str
+    help: str
+    group_by: tuple[str, ...]
+    stats: Callable[[list[dict], ExperimentConfig], dict]
+    single_snr: bool = False
+    takes_ratios: bool = False  # points span ratios x SNR, with n_antennas = ratio * k
+    detector: str | None = None
 
 
-def run_ratio_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Mean terminal |S|/|C| of the global solver per k."""
-    records = _run_points(cfg, _single_snr_points(cfg, "ratio-sweep"))
-    summary = []
-    for k in cfg.k_users:
-        rows = [r for r in records if r["k_users"] == k and r["detector"] == "gobmd"]
-        summary.append(
-            {
-                "k_users": k,
-                "mean_ratio_s_over_c": float(np.mean([r["ratio_s_over_c"] for r in rows])),
-                "trials": len(rows),
-            }
-        )
-    return ExperimentResult(
-        records=records,
-        summary=summary,
-        metadata=_metadata(cfg),
-        record_columns=RECORD_COLUMNS,
-        summary_columns=["k_users", "mean_ratio_s_over_c", "trials"],
-    )
-
-
-def run_phase_grid(cfg: ExperimentConfig) -> ExperimentResult:
-    """Mean BER over the (N/K, SNR) grid; antenna count scales with the ratio."""
-    k = cfg.k_users[0]
-    points = []
-    for ratio in cfg.ratios:
-        n_ant = ratio * k
-        for snr in cfg.snr_db:
-            point = {"ratio_n_over_k": ratio, "k_users": k, "n_antennas": n_ant, "snr_db": snr}
-            points.append((point, GenConfig(n_ant, k, snr, cfg.seed)))
-    records = _run_points(cfg, points)
-    summary = _mean_ber_rows(cfg, records, ["ratio_n_over_k", "snr_db"])
-    record_columns = ["ratio_n_over_k"] + RECORD_COLUMNS
-    return ExperimentResult(
-        records=records,
-        summary=summary,
-        metadata=_metadata(cfg),
-        record_columns=record_columns,
-        summary_columns=["ratio_n_over_k", "snr_db", "detector", "mean_ber", "trials"],
-    )
+SWEEPS = {
+    "ber-sweep": Sweep("ber", "BER versus SNR sweep", ("k_users", "snr_db", "detector"), _ber_stats),
+    "runtime-sweep": Sweep(
+        "runtime", "solve-time versus user-count sweep", ("k_users", "detector"), _time_stats, single_snr=True
+    ),
+    "ratio-sweep": Sweep(
+        "ratio", "terminal cut-pool ratio versus user-count sweep", ("k_users",), _ratio_stats,
+        single_snr=True, detector="gobmd",
+    ),
+    "phase-grid": Sweep(
+        "phase", "BER over the (N/K, SNR) grid", ("ratio_n_over_k", "snr_db", "detector"), _ber_stats, takes_ratios=True
+    ),
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    return {
-        "ber-sweep": run_ber_sweep,
-        "runtime-sweep": run_runtime_sweep,
-        "ratio-sweep": run_ratio_sweep,
-        "phase-grid": run_phase_grid,
-    }[cfg.experiment](cfg)
+    """Run the sweep's points (ratio x k x SNR) and summarize them per ``SWEEPS`` entry."""
+    sweep = SWEEPS[cfg.experiment]
+    points = []
+    for ratio in cfg.ratios if sweep.takes_ratios else [None]:
+        for k in cfg.k_users:
+            n_ant = cfg.n_antennas if ratio is None else ratio * k
+            for snr in cfg.snr_db:
+                point = {} if ratio is None else {"ratio_n_over_k": ratio}
+                point.update(k_users=k, n_antennas=n_ant, snr_db=snr)
+                points.append((point, GenConfig(n_ant, k, snr, cfg.seed)))
+    records = _run_points(cfg, points)
+    groups = {}  # group key -> records, in first-seen order
+    for row in records:
+        if sweep.detector in (None, row["detector"]):
+            groups.setdefault(tuple(row[c] for c in sweep.group_by), []).append(row)
+    summary = [{**dict(zip(sweep.group_by, key)), **sweep.stats(rows, cfg)} for key, rows in groups.items()]
+    return ExperimentResult(records, summary, _metadata(cfg), list(records[0]), list(summary[0]))
+
+
+# The acceptance suite imports these names; every sweep runs through run_experiment.
+run_ber_sweep = run_runtime_sweep = run_ratio_sweep = run_phase_grid = run_experiment
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +337,6 @@ def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict 
         os.replace(tmp, path)
     except OSError as e:
         raise OSError(f"failed writing results to {path}: {e}") from e
-
-
-def read_results(path: str) -> dict:
-    """Read back a JSON results file written by write_results."""
-    with open(path) as f:
-        return json.load(f)
 
 
 def strip_wall_time(rows: list[dict]) -> list[dict]:

@@ -148,6 +148,10 @@ class NodePool:
     def pop(self) -> Node:
         return heapq.heappop(self._heap)[1]
 
+    def min_bound(self) -> float:
+        """Smallest bound of an open node; inf when none is open."""
+        return self._heap[0][0][0] if self._heap else np.inf
+
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -189,9 +193,17 @@ class SolveReport:
     wall_time: float
     options: dict
     bound_prunes: int = 0
+    lower_bound: float | None = None  # the objective when optimal, else the least open bound; None if unknown
     incumbent_history: list = field(default_factory=list)
     bound_history: list = field(default_factory=list)
     outer_lower_bounds: list = field(default_factory=list)
+
+    @property
+    def gap(self) -> float | None:
+        """objective - lower_bound, when both are known."""
+        if self.objective is None or self.lower_bound is None:
+            return None
+        return self.objective - self.lower_bound
 
     def to_dict(self) -> dict:
         d = {
@@ -199,6 +211,8 @@ class SolveReport:
             "status": self.status,
             "x_star": None if self.x_star is None else [int(v) for v in self.x_star],
             "objective": _json_num(self.objective),
+            "lower_bound": _json_num(self.lower_bound),
+            "gap": _json_num(self.gap),
             "nodes_processed": self.nodes_processed,
             "lp_solves": self.lp_solves,
             "bound_prunes": self.bound_prunes,
@@ -239,7 +253,9 @@ class _TreeSearch:
 
     A node LP that ends non-optimal (a failed warm start is first retried
     cold) ends the search with status ``numerical-failure``; the incumbent
-    and counters are kept.
+    and counters are kept. However the search ends, ``lower_bound`` is the
+    least bound of the nodes still open (the node in hand included), capped
+    at the incumbent's value: a valid lower bound on the problem searched.
     """
 
     def __init__(self, ctx, pool, opts, generate_cuts, deadline=None, node_budget=None):
@@ -254,6 +270,7 @@ class _TreeSearch:
         self.nodes_processed = 0
         self.lp_solves = 0
         self.bound_prunes = 0
+        self.lower_bound = -np.inf
         self.incumbent_history: list = []
         self.bound_history: list = []
 
@@ -271,9 +288,9 @@ class _TreeSearch:
 
         while len(open_nodes):
             if self.nodes_processed >= self.node_budget:
-                return "node-limit"
+                return self._stop("node-limit", open_nodes)
             if self.deadline is not None and time.monotonic() > self.deadline:
-                return "time-limit"
+                return self._stop("time-limit", open_nodes)
             node = open_nodes.pop()
             if node.bound >= self.upper - opts.eps_prune:
                 continue
@@ -293,7 +310,7 @@ class _TreeSearch:
             while True:
                 sol = self._solve(problem, warm)
                 if sol is None:
-                    return "numerical-failure"
+                    return self._stop("numerical-failure", open_nodes, bound)
                 f_lp = sol.objective
                 if f_lp >= self.upper - opts.eps_prune:
                     break  # case (1): bound prune
@@ -330,7 +347,11 @@ class _TreeSearch:
                 j = select_branch_var(x_lp, opts.eps_int)
                 self._branch(open_nodes, node, j, max(f_lp, bound), sol.basis, x_relax)
                 break
-        return "optimal"
+        return self._stop("optimal", open_nodes)
+
+    def _stop(self, status, open_nodes, in_hand=np.inf) -> str:
+        self.lower_bound = min(open_nodes.min_bound(), in_hand, self.upper)
+        return status
 
     def _branch(self, open_nodes, node, j, bound, warm, x_relax):
         open_nodes.push(Node(node.fixed_pos + (j,), node.fixed_neg, bound, warm, node.depth + 1, x_relax))
@@ -406,6 +427,7 @@ def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> So
         wall_time=wall,
         options=opts.to_dict(),
         bound_prunes=search.bound_prunes,
+        lower_bound=_json_num(search.lower_bound),
         incumbent_history=search.incumbent_history,
         bound_history=search.bound_history,
     )
@@ -429,6 +451,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
     lower_bounds: list[float] = []
     best_x = None
     best_f = np.inf
+    lower = -np.inf
     status = "optimal"
     while True:
         search = _TreeSearch(
@@ -444,6 +467,8 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         lps += search.lp_solves
         if inner_status != "optimal" or search.incumbent is None:
             status = inner_status if inner_status != "optimal" else "node-limit"
+            # each restricted MILP relaxes the problem, so the bounds on it are valid here too
+            lower = min(max([search.lower_bound, *lower_bounds]), best_f)
             break
         x_bar = search.incumbent.x_best
         w_bar = search.incumbent.w_best
@@ -479,5 +504,6 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         ratio_s_over_c=pool.ratio(),
         wall_time=wall,
         options=opts.to_dict(),
+        lower_bound=_json_num(best_f if status == "optimal" else lower),
         outer_lower_bounds=lower_bounds,
     )

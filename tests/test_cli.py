@@ -121,6 +121,17 @@ def test_missing_required_flag_exits_1(capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_repeated_axis_value_exits_1(tmp_path, capsys):
+    out = tmp_path / "runtime.csv"
+    rc = main(["runtime", "--n-ant", "6", "--k-users", "2,2", "--trials", "2", "--out", str(out)])
+    assert rc == 1
+    assert "repeated" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["ber", "--n-ant", "6", "--k-users", "2", "--snr", "10,10", "--trials", "2", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     assert main(["ber", "--bogus", "1"]) == 1
 

@@ -5,18 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from gobmd.harness import (
-    BLAS_THREAD_VARS,
-    ExperimentConfig,
-    read_results,
-    run_ber_sweep,
-    run_experiment,
-    run_phase_grid,
-    run_ratio_sweep,
-    run_runtime_sweep,
-    strip_wall_time,
-    write_results,
-)
+from gobmd.harness import BLAS_THREAD_VARS, ExperimentConfig, run_experiment, strip_wall_time, write_results
 from gobmd.solver import SolverOptions
 
 
@@ -49,10 +38,20 @@ def test_config_validation():
         small_cfg(experiment="what")
     with pytest.raises(ValueError):
         small_cfg(n_antennas=None)
+    # a repeated axis value would run its points twice and merge them into one row
+    for repeated in (
+        dict(k_users=[2, 2]),
+        dict(snr_db=[10.0, 10.0]),
+        dict(detectors=["zf", "zf"]),
+        dict(experiment="runtime-sweep", k_users=[2, 2], snr_db=[10.0]),
+        dict(experiment="phase-grid", n_antennas=None, ratios=[2, 2]),
+    ):
+        with pytest.raises(ValueError, match="repeated"):
+            small_cfg(**repeated)
 
 
 def test_ber_sweep_paired_and_complete():
-    res = run_ber_sweep(small_cfg())
+    res = run_experiment(small_cfg())
     # every detector contributes exactly `trials` records per sweep point
     for snr in (0.0, 10.0):
         for det in ("gobmd", "exhaustive", "zf"):
@@ -77,7 +76,7 @@ def test_ber_sweep_paired_and_complete():
 
 
 def test_ber_summary_rows():
-    res = run_ber_sweep(small_cfg())
+    res = run_experiment(small_cfg())
     assert len(res.summary) == 2 * 3
     for row in res.summary:
         assert row["trials"] == 4
@@ -85,15 +84,15 @@ def test_ber_summary_rows():
 
 
 def test_reproducibility():
-    a = run_ber_sweep(small_cfg())
-    b = run_ber_sweep(small_cfg())
+    a = run_experiment(small_cfg())
+    b = run_experiment(small_cfg())
     assert strip_wall_time(a.records) == strip_wall_time(b.records)
     assert strip_wall_time(a.summary) == strip_wall_time(b.summary)
 
 
 def test_workers_do_not_change_output():
-    a = run_ber_sweep(small_cfg(trials=3))
-    b = run_ber_sweep(small_cfg(trials=3, workers=2))
+    a = run_experiment(small_cfg(trials=3))
+    b = run_experiment(small_cfg(trials=3, workers=2))
     assert strip_wall_time(a.records) == strip_wall_time(b.records)
 
 
@@ -102,8 +101,8 @@ def test_parallel_sweep_keeps_records_and_trial_times():
     # workers on two cores oversubscribe and every trial's wall_time inflates.
     cfg = dict(experiment="runtime-sweep", n_antennas=18, k_users=[4], snr_db=[10.0], trials=8, detectors=["gobmd"])
     env = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
-    serial = run_runtime_sweep(small_cfg(**cfg))
-    parallel = run_runtime_sweep(small_cfg(**cfg, workers=2))
+    serial = run_experiment(small_cfg(**cfg))
+    parallel = run_experiment(small_cfg(**cfg, workers=2))
     assert {k: os.environ.get(k) for k in BLAS_THREAD_VARS} == env  # restored
     assert strip_wall_time(parallel.records) == strip_wall_time(serial.records)
     serial_s = sum(r["wall_time"] for r in serial.records)
@@ -122,28 +121,53 @@ def test_runtime_sweep_shape():
         trials=3,
         detectors=["gobmd", "exhaustive"],
     )
-    res = run_runtime_sweep(cfg)
-    assert len(res.summary) == 4
+    res = run_experiment(cfg)
+    assert [(row["k_users"], row["detector"]) for row in res.summary] == [
+        (2, "gobmd"),
+        (2, "exhaustive"),
+        (3, "gobmd"),
+        (3, "exhaustive"),
+    ]
     for row in res.summary:
         assert row["median_wall_time"] > 0.0
         assert row["trials"] == 3
-    single = run_runtime_sweep(small_cfg(experiment="runtime-sweep", k_users=[2], snr_db=[10.0], trials=2))
+    single = run_experiment(small_cfg(experiment="runtime-sweep", k_users=[2], snr_db=[10.0], trials=2))
     assert len(single.summary) == len(single.metadata["config"]["detectors"])
 
 
 def test_runtime_sweep_rejects_multi_snr():
     with pytest.raises(ValueError):
-        run_runtime_sweep(small_cfg(experiment="runtime-sweep", snr_db=[0.0, 10.0]))
+        run_experiment(small_cfg(experiment="runtime-sweep", snr_db=[0.0, 10.0]))
 
 
 def test_ratio_sweep_floor_and_shape():
-    cfg = small_cfg(experiment="ratio-sweep", k_users=[2, 3], snr_db=[10.0], trials=3, detectors=["gobmd"])
-    res = run_ratio_sweep(cfg)
-    assert len(res.summary) == 2
+    # zf records are kept but not summarized: the ratio is a gobmd statistic
+    cfg = small_cfg(experiment="ratio-sweep", k_users=[2, 3], snr_db=[10.0], trials=3, detectors=["gobmd", "zf"])
+    res = run_experiment(cfg)
+    assert len(res.records) == 2 * 3 * 2
+    assert [row["k_users"] for row in res.summary] == [2, 3]
     for row in res.summary:
         k = 2 * row["k_users"]
         assert row["mean_ratio_s_over_c"] >= 2.0**-k  # at least the seed pool
         assert row["trials"] == 3
+        ratios = [r["ratio_s_over_c"] for r in res.records if r["k_users"] == row["k_users"] and r["detector"] == "gobmd"]
+        assert row["mean_ratio_s_over_c"] == float(np.mean(ratios))
+
+
+def test_only_optimal_aggregates_optimal_trials():
+    # five nodes leave a mix of optimal and node-limit trials at K = 6 and 8
+    kw = dict(n_antennas=8, k_users=[3, 4], trials=4, seed=7, detectors=["gobmd"], options=SolverOptions(node_limit=5))
+    res = run_experiment(small_cfg(**kw, only_optimal=True))
+    every = run_experiment(small_cfg(**kw))
+    assert {r["status"] for r in res.records} == {"optimal", "node-limit"}
+    assert strip_wall_time(res.records) == strip_wall_time(every.records)
+    for row, row_all in zip(res.summary, every.summary):
+        point = [r for r in res.records if (r["k_users"], r["snr_db"]) == (row["k_users"], row["snr_db"])]
+        bers = [r["ber"] for r in point if r["status"] == "optimal"]
+        assert row["trials"] == len(bers)
+        assert row["mean_ber"] == (float(np.mean(bers)) if bers else None)
+        assert row_all["trials"] == 4
+        assert row_all["mean_ber"] == float(np.mean([r["ber"] for r in point]))
 
 
 def test_phase_grid_cells():
@@ -157,7 +181,7 @@ def test_phase_grid_cells():
         detectors=["gobmd"],
         ratios=[2, 4],
     )
-    res = run_phase_grid(cfg)
+    res = run_experiment(cfg)
     assert len(res.summary) == 4
     for row in res.summary:
         assert 0.0 <= row["mean_ber"] <= 1.0
@@ -168,7 +192,7 @@ def test_phase_grid_cells():
 
 
 def test_phase_grid_single_cell_matches_ber_sweep():
-    phase = run_phase_grid(
+    phase = run_experiment(
         ExperimentConfig(
             experiment="phase-grid",
             n_antennas=None,
@@ -180,7 +204,7 @@ def test_phase_grid_single_cell_matches_ber_sweep():
             ratios=[3],
         )
     )
-    ber = run_ber_sweep(small_cfg(n_antennas=6, detectors=["gobmd"], snr_db=[10.0]))
+    ber = run_experiment(small_cfg(n_antennas=6, detectors=["gobmd"], snr_db=[10.0]))
     assert phase.summary[0]["mean_ber"] == ber.summary[0]["mean_ber"]
 
 
@@ -210,7 +234,7 @@ def test_write_results_json_roundtrip(tmp_path):
     rows = [{"v": 0.1 + 0.2, "n": 3, "s": "t"}, {"v": 1e-17, "n": 0, "s": ""}]
     meta = {"seed": 7, "sigma": 0.6324555320336759}
     write_results(rows, path, "json", metadata=meta)
-    doc = read_results(path)
+    doc = json.load(open(path))
     assert doc["metadata"]["seed"] == 7
     assert doc["metadata"]["sigma"] == 0.6324555320336759
     assert doc["rows"] == rows  # bit-exact floats
@@ -236,5 +260,5 @@ def test_write_results_rejects_unknown_format(tmp_path):
 
 def test_options_travel_into_metadata():
     cfg = small_cfg(options=SolverOptions(eps_cut=1e-7), trials=2, snr_db=[10.0], detectors=["gobmd"])
-    res = run_ber_sweep(cfg)
+    res = run_experiment(cfg)
     assert res.metadata["config"]["options"]["eps_cut"] == 1e-7

@@ -169,6 +169,32 @@ def test_node_limit_downgrades_status():
     assert full.status == "optimal"
     if rep.objective is not None:
         assert rep.objective >= full.objective - 1e-9
+    assert full.lower_bound == full.objective and full.gap == 0.0
+
+
+def _assert_brackets(rep, oracle, eps_prune=SolverOptions().eps_prune):
+    """lower_bound <= optimum <= objective; pruning is exact only to eps_prune."""
+    assert rep.lower_bound is not None
+    assert rep.lower_bound <= oracle.objective + eps_prune
+    if rep.objective is not None:
+        assert oracle.objective <= rep.objective + 1e-12 * max(1.0, oracle.objective)
+        assert rep.gap == rep.objective - rep.lower_bound >= 0.0
+
+
+@pytest.mark.parametrize("solve", [solve_gobmd, solve_incremental])
+def test_node_limited_solves_bracket_the_optimum(solve):
+    limited = 0
+    for trial in range(6):
+        inst = generate_instance(GenConfig(18, 4, 10.0, 4000), trial)
+        oracle = exhaustive_search(inst)
+        for node_limit in (1, 3, 10, 30):
+            rep = solve(inst, SolverOptions(node_limit=node_limit))
+            if rep.status == "node-limit":
+                limited += 1
+                _assert_brackets(rep, oracle)
+                doc = rep.to_dict()
+                assert (doc["lower_bound"], doc["gap"]) == (rep.lower_bound, rep.gap)
+    assert limited >= 10
 
 
 def test_time_limit_downgrades_status():
@@ -185,10 +211,15 @@ def test_node_lp_failure_is_a_status(monkeypatch):
 
     monkeypatch.setattr(gobmd.lp, "solve_lp", failing)
     inst = generate_instance(GenConfig(8, 3, 10.0, 61))
-    for solve in (solve_gobmd, solve_incremental):
-        rep = solve(inst)
-        assert rep.status == "numerical-failure"
-        assert rep.nodes_processed == 1 and rep.lp_solves == 1
+    oracle = exhaustive_search(inst)
+    rep = solve_gobmd(inst)
+    assert rep.status == "numerical-failure"
+    assert rep.nodes_processed == 1 and rep.lp_solves == 1
+    _assert_brackets(rep, oracle)  # the root's relaxation bound, against the ZF incumbent
+    rep = solve_incremental(inst)
+    assert rep.status == "numerical-failure"
+    assert rep.nodes_processed == 1 and rep.lp_solves == 1
+    assert rep.objective is None and rep.lower_bound is None and rep.gap is None  # nothing bounds the root
 
 
 @pytest.mark.parametrize("status", ["infeasible", "iteration-limit", "numerical-failure"])
@@ -225,9 +256,12 @@ def test_report_json_schema():
         "ratio_s_over_c",
         "wall_time",
         "options",
+        "lower_bound",
+        "gap",
     ):
         assert key in doc
     assert doc["status"] == "optimal"
+    assert doc["lower_bound"] == doc["objective"] and doc["gap"] == 0.0
     assert doc["options"]["eps_cut"] == 1e-6
     assert doc["bound_history"][0] is None  # root bound is -inf
 
