@@ -22,8 +22,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # let values like "-5,0,10,20" pass as arguments, not option lookalikes
-    _negative_number_matcher = re.compile(r"^-\d+(\.\d+)?([,.]\-?\d+(\.\d+)?)*$")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # let values like "-5,0,10,20" pass as arguments, not option lookalikes;
+        # set after argparse's __init__, which assigns its own matcher
+        self._negative_number_matcher = re.compile(r"^-\d+(\.\d+)?([,.]\-?\d+(\.\d+)?)*$")
 
     def error(self, message):  # argparse would exit(2); the contract is exit 1
         raise UsageError(f"{self.prog}: {message}")

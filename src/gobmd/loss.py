@@ -1,10 +1,15 @@
-"""Negative log-likelihood of one-bit observations: stable log Phi, per-row losses, gradient cuts.
+"""Negative log-likelihood of one-bit observations: log Phi, per-row losses, gradient cuts.
 
 The detection objective is f(x) = sum_i g_i(x) with g_i(x) = -log Phi(u_i),
 u_i = r_i h_i^T x / sigma. Each g_i is convex, so its tangent at any anchor
 point underestimates it everywhere; those tangents are the cuts the solver
 generates lazily. The same convexity bounds f over a box from any point in it,
 which is how the solver bounds a tree node by its continuous relaxation.
+
+Every likelihood evaluation goes through one vectorized kernel: a single
+``scipy.special.log_ndtr`` pass over all margins gives log Phi, and the
+inverse Mills ratio lambda = phi/Phi follows from it as exp(log phi - log Phi).
+Tangents, objective values and Newton steps each take one pass per call.
 """
 
 from __future__ import annotations
@@ -14,53 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-_SQRT2 = np.sqrt(2.0)
-_LOG_HALF = np.log(0.5)
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-# Below this z the direct erfc form of log Phi loses accuracy to underflow and
-# the scaled-erfc (erfcx) form takes over. erfc is still good at the switch, so
-# the two branches agree there to ~1e-14.
-LOG_NCDF_TAIL_SWITCH = -8.0
 
 # Below this z the inverse Mills ratio is evaluated from its asymptotic series;
 # above it, from exp(log phi - log Phi).
 INV_MILLS_ASYMPTOTIC_SWITCH = -30.0
 
 
-def _log_ncdf_erfc(z: np.ndarray) -> np.ndarray:
-    return np.log(0.5 * special.erfc(-z / _SQRT2))
-
-
-def _log_ncdf_tail(z: np.ndarray) -> np.ndarray:
-    t = -z / _SQRT2
-    return _LOG_HALF + np.log(special.erfcx(t)) - t * t
-
-
-def _log_ncdf_pos(z: np.ndarray) -> np.ndarray:
-    # log(1 - Phi(-z)); the complement survives where log(Phi) would round to 0
-    return np.log1p(-0.5 * special.erfc(z / _SQRT2))
-
-
 def log_ncdf(z):
     """log of the standard normal CDF, accurate over the whole real line.
 
-    Scalar in, float out; arrays map elementwise.
+    One ``scipy.special.log_ndtr`` pass for any shape; scalar in, float out.
     """
-    z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    tail = z < LOG_NCDF_TAIL_SWITCH
-    pos = z >= 0.0
-    mid = ~tail & ~pos
-    if tail.any():
-        out[tail] = _log_ncdf_tail(z[tail])
-    if mid.any():
-        out[mid] = _log_ncdf_erfc(z[mid])
-    if pos.any():
-        out[pos] = _log_ncdf_pos(z[pos])
-    return float(out[0]) if scalar else out
+    out = special.log_ndtr(np.asarray(z, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def _inv_mills_series(z: np.ndarray) -> np.ndarray:
@@ -71,17 +43,12 @@ def _inv_mills_series(z: np.ndarray) -> np.ndarray:
 
 
 def _log_ncdf_and_inv_mills(z: np.ndarray):
-    """log Phi(z) and the inverse Mills ratio of a 1-d array, with log Phi evaluated once."""
-    log_cdf = log_ncdf(z)
-    lam = np.empty_like(z)
+    """log Phi(z) and the inverse Mills ratio of an array, from one log_ndtr pass."""
+    log_cdf = special.log_ndtr(z)
+    lam = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_cdf)
     tail = z < INV_MILLS_ASYMPTOTIC_SWITCH
     if tail.any():
         lam[tail] = _inv_mills_series(z[tail])
-    rest = ~tail
-    if rest.any():
-        zr = z[rest]
-        log_pdf = -0.5 * zr * zr - _LOG_SQRT_2PI
-        lam[rest] = np.exp(log_pdf - log_cdf[rest])
     return log_cdf, lam
 
 
@@ -158,13 +125,26 @@ def f_obj(ctx: LossContext, x: np.ndarray) -> float:
     return float(np.sum(ctx.g_all(np.asarray(x, dtype=float))))
 
 
+def make_cuts(ctx: LossContext, rows, point: np.ndarray) -> list[Cut]:
+    """Tangents of g_i at ``point`` for each i in ``rows``, from one kernel pass.
+
+    Valid global underestimators by convexity; all of them share one read-only anchor.
+    """
+    point = np.array(point, dtype=float)
+    point.setflags(write=False)
+    rows = np.asarray(rows, dtype=int)
+    if rows.size and not (0 <= rows.min() and rows.max() < ctx.n):
+        raise IndexError(f"row index out of range [0, {ctx.n})")
+    R = ctx.rows[rows]
+    log_cdf, lam = _log_ncdf_and_inv_mills(R @ point)
+    grads = -lam[:, None] * R
+    offsets = -log_cdf - grads @ point
+    return [Cut(int(i), point, g, float(c)) for i, g, c in zip(rows, grads, offsets)]
+
+
 def make_cut(ctx: LossContext, i: int, point: np.ndarray) -> Cut:
     """Tangent of g_i at ``point``: valid global underestimator by convexity."""
-    point = np.array(point, dtype=float)
-    grad = g_grad(ctx, i, point)
-    offset = g_eval(ctx, i, point) - float(grad @ point)
-    point.setflags(write=False)
-    return Cut(row=i, point=point, grad=grad, offset=offset)
+    return make_cuts(ctx, [i], point)[0]
 
 
 # Projected Newton on a box: stop once the certified gap f(x) - bound is below
@@ -193,7 +173,7 @@ def _box_bound(f, grad, x, lower, upper) -> float:
     return f + float(np.minimum(grad * (lower - x), grad * (upper - x)).sum())
 
 
-def box_relaxation(ctx: LossContext, lower: np.ndarray, upper: np.ndarray, x0: np.ndarray):
+def box_relaxation(ctx: LossContext, lower: np.ndarray, upper: np.ndarray, x0: np.ndarray, cutoff: float = np.inf):
     """A minimizer of f over the box [lower, upper] and the lower bound it certifies.
 
     Returns ``(x, bound)`` with ``bound = f(x) + sum_j min(df/dx_j (lower_j - x_j),
@@ -205,6 +185,11 @@ def box_relaxation(ctx: LossContext, lower: np.ndarray, upper: np.ndarray, x0: n
     ``x0`` clipped to the box: Newton steps on the coordinates off the
     epsilon-active bounds, diagonally scaled gradient steps on the others, an
     Armijo search along the projection arc. ``lower == upper`` fixes a coordinate.
+
+    The bound returned is the running maximum over the iterates, and the
+    method returns as soon as it reaches ``cutoff``: a caller that prunes at
+    ``bound >= cutoff`` gets the same decision as from the full run, and a run
+    that never reaches the cutoff is the full run.
     """
     rows = ctx.rows
     x = np.clip(x0, lower, upper)
@@ -212,7 +197,7 @@ def box_relaxation(ctx: LossContext, lower: np.ndarray, upper: np.ndarray, x0: n
     f, grad, curv = _newton_terms(rows, x)
     bound = _box_bound(f, grad, x, lower, upper)
     for _ in range(NEWTON_MAX_ITER):
-        if f - bound <= NEWTON_GAP_TOL * max(1.0, abs(f)):
+        if bound >= cutoff or f - bound <= NEWTON_GAP_TOL * max(1.0, abs(f)):
             break
         pg = x - np.clip(x - grad, lower, upper)
         eps = min(ACTIVE_EPS, float(np.abs(pg).max()))

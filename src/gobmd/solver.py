@@ -15,7 +15,8 @@ import numpy as np
 
 from . import lp as lpmod
 from .baselines import least_squares
-from .loss import Cut, LossContext, box_relaxation, make_cut
+# make_cut stays importable from here: bench/layertrace.py wraps gobmd.solver.make_cut
+from .loss import Cut, LossContext, box_relaxation, make_cut, make_cuts  # noqa: F401
 from .model import RealInstance, quantize_one_bit
 
 # objective gap accepted by the incremental loop's optimality certificate
@@ -171,8 +172,8 @@ def initial_cuts(instance: RealInstance, ctx: LossContext | None = None) -> CutP
     ctx = ctx or LossContext.from_instance(instance)
     x_zf = quantize_one_bit(least_squares(instance.H, instance.r))
     pool = CutPool(ctx.n, ctx.k)
-    for i in range(ctx.n):
-        pool.add(make_cut(ctx, i, x_zf))
+    for cut in make_cuts(ctx, range(ctx.n), x_zf):
+        pool.add(cut)
     return pool
 
 
@@ -245,7 +246,8 @@ class _TreeSearch:
     LP optima are checked against the true per-row losses and violated
     tangents are added in place (re-solving the tightened LP). Before its LP,
     each node is bounded by the continuous relaxation min f over its box and
-    pruned on that bound when it can be; otherwise the bound raises the
+    pruned on that bound when it can be (the relaxation stops as soon as its
+    bound reaches the prune cutoff); otherwise the bound raises the
     children's, and its minimizer is where their relaxations start. Without
     ``generate_cuts`` the search solves the restricted MILP on the pool
     exactly, which is what the outer incremental loop needs; f bounds nothing
@@ -298,8 +300,9 @@ class _TreeSearch:
             xl, xu = self._box(node)
             bound, x_relax = node.bound, node.x_relax
             if self.generate_cuts:
-                x_relax, relax = box_relaxation(self.ctx, xl, xu, node.x_relax)
-                if relax >= self.upper - opts.eps_prune:
+                cutoff = self.upper - opts.eps_prune
+                x_relax, relax = box_relaxation(self.ctx, xl, xu, node.x_relax, cutoff)
+                if relax >= cutoff:
                     self.bound_prunes += 1
                     continue
                 bound = max(bound, relax)
@@ -390,12 +393,7 @@ class _TreeSearch:
         return sol if sol.status == "optimal" else None
 
     def _add_cuts(self, rows, point) -> list[Cut]:
-        new = []
-        for i in rows:
-            cut = make_cut(self.ctx, int(i), point)
-            if self.pool.add(cut) is not None:
-                new.append(cut)
-        return new
+        return [cut for cut in make_cuts(self.ctx, rows, point) if self.pool.add(cut) is not None]
 
 
 def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> SolveReport:
@@ -484,11 +482,8 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         if viol.size == 0:
             # certificate gap too wide: tighten with any measurable violation
             viol = np.flatnonzero(w_bar < g - 1e-12)
-        added = 0
-        for i in viol:
-            if pool.add(make_cut(ctx, int(i), x_bar)) is not None:
-                added += 1
-        if added == 0:
+        added = [cut for cut in make_cuts(ctx, viol, x_bar) if pool.add(cut) is not None]
+        if not added:
             break  # pool already tight at x_bar; gap is LP-tolerance noise
     wall = time.perf_counter() - t0
     return SolveReport(

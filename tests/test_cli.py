@@ -207,6 +207,17 @@ def test_phase_command(tmp_path):
     assert len(lines) == 1 + 4
 
 
+def test_negative_value_lists_parse_as_values(tmp_path):
+    # the README form: a comma list that starts with a negative number
+    out = tmp_path / "phase.csv"
+    rc = main(["phase", "--k-users", "2", "--ratios", "2,4", "--snr", "-5,10", "--trials", "2", "--seed", "3",
+               "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + 4
+    assert sum(",-5," in row for row in rows) == 2
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "snr": "10", "trials": 5, "seed": 4}))

@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 
 import gobmd.loss
 import gobmd.lp
+import gobmd.solver
 from gobmd.baselines import exhaustive_search, least_squares
 from gobmd.loss import LossContext, box_relaxation, f_obj
 from gobmd.model import GenConfig, RealInstance, generate_instance, quantize_one_bit
@@ -343,3 +344,43 @@ def test_relaxation_bound_finite_on_stress_instances(case):
             assert np.isfinite(bound) and np.isfinite(f_obj(ctx, x))
             best = _vertex_minimum(ctx, lower, upper)
             assert bound <= best + 1e-12 * max(1.0, best)
+
+
+def test_relaxation_cutoff_crosses_exactly_when_the_full_run_does(monkeypatch):
+    calls = []
+    newton_terms = gobmd.loss._newton_terms
+    monkeypatch.setattr(gobmd.loss, "_newton_terms", lambda *a: calls.append(1) or newton_terms(*a))
+    rng = np.random.default_rng(93)
+    saved = 0
+    for case in range(60):
+        k_users = int(rng.integers(2, 8))
+        inst = generate_instance(GenConfig(int(rng.integers(k_users, 24)), k_users, float(rng.uniform(-5, 30)), 200 + case))
+        ctx = LossContext.from_instance(inst)
+        lower, upper = _random_box(rng, ctx.k)
+        x0 = rng.uniform(lower, upper)
+        calls.clear()
+        x_full, full = box_relaxation(ctx, lower, upper, x0)
+        n_full = len(calls)
+        start = box_relaxation(ctx, lower, upper, x0, cutoff=-np.inf)[1]  # the bound at x0
+        for cutoff in (start, 0.5 * (start + full), full, full + 1e-9, np.nextafter(full, -np.inf)):
+            calls.clear()
+            x, bound = box_relaxation(ctx, lower, upper, x0, cutoff)
+            assert (bound >= cutoff) == (full >= cutoff)
+            assert np.all((lower <= x) & (x <= upper))
+            if full < cutoff:
+                assert bound == full and np.array_equal(x, x_full)
+            saved += n_full - len(calls)
+    assert saved > 0
+
+
+def test_relaxation_cutoff_leaves_the_search_unchanged(monkeypatch):
+    insts = [generate_instance(GenConfig(12, 5, 10.0, 4000), trial=j) for j in range(4)]
+    with_cutoff = [solve_gobmd(inst) for inst in insts]
+    box_relaxation = gobmd.solver.box_relaxation
+    monkeypatch.setattr(gobmd.solver, "box_relaxation", lambda ctx, lower, upper, x0, cutoff: box_relaxation(ctx, lower, upper, x0))
+    for inst, rep in zip(insts, with_cutoff):
+        full = solve_gobmd(inst)
+        assert rep.bound_prunes > 0
+        assert np.array_equal(rep.x_star, full.x_star) and rep.objective == full.objective
+        for name in ("nodes_processed", "lp_solves", "bound_prunes", "cuts_added", "lower_bound", "bound_history"):
+            assert getattr(rep, name) == getattr(full, name), name

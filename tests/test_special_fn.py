@@ -10,16 +10,14 @@ import pytest
 
 from gobmd.loss import (
     INV_MILLS_ASYMPTOTIC_SWITCH,
-    LOG_NCDF_TAIL_SWITCH,
     LossContext,
-    _log_ncdf_erfc,
-    _log_ncdf_tail,
     f_obj,
     g_eval,
     g_grad,
     inv_mills,
     log_ncdf,
     make_cut,
+    make_cuts,
 )
 
 # mpmath (dps=40) reference values
@@ -86,12 +84,6 @@ def test_log_ncdf_complementarity():
     zs = np.linspace(-8.0, 8.0, 1000)
     total = np.exp(log_ncdf(zs)) + np.exp(log_ncdf(-zs))
     assert np.max(np.abs(total - 1.0)) <= 1e-10
-
-
-def test_log_ncdf_branch_continuity():
-    # the two formulas must agree where the implementation switches
-    z = np.array([LOG_NCDF_TAIL_SWITCH])
-    assert abs(_log_ncdf_erfc(z)[0] - _log_ncdf_tail(z)[0]) <= 1e-10
 
 
 def test_inv_mills_frozen_values():
@@ -258,3 +250,35 @@ def test_make_cut_underestimates():
         for i in range(4):
             cut = make_cut(ctx, i, anchor)
             assert g_eval(ctx, i, x) >= cut.value_at(x) - 1e-10
+
+
+def test_make_cuts_match_per_row_cuts_in_both_tails():
+    # rows of quarter-integers anchored at a sign vector give exact margins, so
+    # the batch and the single rows see the same inputs whatever the summation order
+    rng = np.random.default_rng(12)
+    point = np.array([1.0, -1.0, -1.0, 1.0])
+    targets = np.concatenate([np.arange(-60.0, -30.0, 3.0), np.arange(-30.0, 8.0, 1.75), np.arange(8.25, 40.0, 4.5)])
+    parts = np.round(4.0 * targets[:, None] * rng.dirichlet(np.ones(4), targets.size)) / 4.0
+    ctx = _ctx(parts * point)
+    margins = ctx.margins(point)
+    assert margins.min() < -30.0 and margins.max() > 8.0
+    rows = rng.permutation(ctx.n)
+    cuts = make_cuts(ctx, rows, point)
+    assert [c.row for c in cuts] == list(rows)
+    assert all(c.point is cuts[0].point and not c.point.flags.writeable for c in cuts)
+    for cut in cuts:
+        single = make_cut(ctx, cut.row, point)
+        grad = g_grad(ctx, cut.row, point)
+        g = g_eval(ctx, cut.row, point)
+        for ref_grad, ref_offset in ((single.grad, single.offset), (grad, g - float(grad @ point))):
+            assert np.allclose(cut.grad, ref_grad, rtol=1e-14, atol=0.0)
+            assert cut.offset == pytest.approx(ref_offset, rel=1e-14, abs=1e-14 * g)
+        assert cut.value_at(point) == pytest.approx(g, rel=1e-14)
+
+
+def test_make_cuts_rejects_rows_out_of_range():
+    ctx = _ctx([[1.0, 0.0], [0.0, 1.0]])
+    assert make_cuts(ctx, [], np.ones(2)) == []
+    for rows in ([2], [-1], [0, 2]):
+        with pytest.raises(IndexError):
+            make_cuts(ctx, rows, np.ones(2))
