@@ -22,12 +22,9 @@ from .loss import Cut, LossContext, f_obj, g_eval, g_grad, inv_mills, log_ncdf, 
 from .lp import LpProblem, LpSolution, solve_lp
 from .baselines import OracleResult, exhaustive_search, least_squares, zero_forcing
 from .solver import (
-    CutPool,
-    Node,
     SolveReport,
     SolverOptions,
     initial_cuts,
-    select_branch_var,
     solve_gobmd,
     solve_incremental,
 )
@@ -63,12 +60,9 @@ __all__ = [
     "exhaustive_search",
     "least_squares",
     "zero_forcing",
-    "CutPool",
-    "Node",
     "SolveReport",
     "SolverOptions",
     "initial_cuts",
-    "select_branch_var",
     "solve_gobmd",
     "solve_incremental",
     "ExperimentConfig",

@@ -33,9 +33,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--eps-int", type=float)
-    p.add_argument("--eps-cut", type=float)
-    p.add_argument("--eps-prune", type=float)
     p.add_argument("--node-limit", type=int)
     p.add_argument("--time-limit", type=float)
 

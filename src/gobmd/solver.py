@@ -21,22 +21,24 @@ from .model import RealInstance, quantize_one_bit
 
 # objective gap accepted by the incremental loop's optimality certificate
 INCREMENTAL_GAP_TOL = 1e-7
+# a tangent is violated at an integral point when w_i < g_i - CUT_TOL
+CUT_TOL = 1e-6
+# a node is pruned when its bound reaches the incumbent's value - PRUNE_TOL
+PRUNE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    eps_int: float = 1e-6
-    eps_cut: float = 1e-6
-    eps_prune: float = 1e-9
     node_limit: int = 1_000_000
     time_limit: float | None = None
 
     def __post_init__(self):
-        for name in ("eps_int", "eps_cut", "eps_prune"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.node_limit < 1:
-            raise ValueError("node_limit must be >= 1")
+        # the report echoes both limits as JSON, so they must be plain finite numbers
+        n, t = self.node_limit, self.time_limit
+        if type(n) is not int or n < 1:
+            raise ValueError(f"node_limit must be an integer >= 1, got {n!r}")
+        if t is not None and (type(t) is bool or not isinstance(t, (int, float)) or not 0 < t < math.inf):
+            raise ValueError(f"time_limit must be a finite number > 0, got {t!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -157,14 +159,17 @@ class NodePool:
         return len(self._heap)
 
 
-def select_branch_var(x_lp: np.ndarray, eps_int: float = 1e-6) -> int:
-    """Most fractional coordinate (smallest |x_j|) of the LP solution."""
-    x_lp = np.asarray(x_lp, dtype=float)
-    frac = np.abs(x_lp) < 1.0 - eps_int
+def select_branch_var(x_lp: np.ndarray) -> int:
+    """Most fractional coordinate: the least |x_j| among the x_j not at +-1.
+
+    A basic x_j can overshoot its bound by the LP's feasibility tolerance, so
+    the complement of exact integrality is |x_j| != 1, not |x_j| < 1.
+    """
+    a = np.abs(np.asarray(x_lp, dtype=float))
+    frac = a != 1.0
     if not frac.any():
         raise ValueError("select_branch_var called with an integral point")
-    scores = np.where(frac, np.abs(x_lp), np.inf)
-    return int(np.argmin(scores))
+    return int(np.argmin(np.where(frac, a, np.inf)))
 
 
 def initial_cuts(instance: RealInstance, ctx: LossContext | None = None) -> CutPool:
@@ -243,8 +248,11 @@ class _TreeSearch:
     """One branch-and-bound run over a (possibly growing) cut pool.
 
     With ``generate_cuts`` the search is the full global algorithm: integral
-    LP optima are checked against the true per-row losses and violated
-    tangents are added in place (re-solving the tightened LP). Before its LP,
+    LP optima (every |x_j| exactly 1) are checked against the true per-row
+    losses, and the tangents violated by more than ``CUT_TOL`` are added in
+    place (re-solving the tightened LP); any other LP optimum is branched on.
+    A node is pruned once its bound reaches the incumbent's value less
+    ``PRUNE_TOL``. Before its LP,
     each node is bounded by the continuous relaxation min f over its box and
     pruned on that bound when it can be (the relaxation stops as soon as its
     bound reaches the prune cutoff); otherwise the bound raises the
@@ -260,13 +268,12 @@ class _TreeSearch:
     at the incumbent's value: a valid lower bound on the problem searched.
     """
 
-    def __init__(self, ctx, pool, opts, generate_cuts, deadline=None, node_budget=None):
+    def __init__(self, ctx, pool, generate_cuts, deadline, node_budget):
         self.ctx = ctx
         self.pool = pool
-        self.opts = opts
         self.generate_cuts = generate_cuts
         self.deadline = deadline
-        self.node_budget = node_budget if node_budget is not None else opts.node_limit
+        self.node_budget = node_budget
         self.incumbent: Incumbent | None = None
         self.upper = np.inf
         self.nodes_processed = 0
@@ -284,7 +291,6 @@ class _TreeSearch:
             self.incumbent_history.append((self.nodes_processed, f))
 
     def run(self) -> str:
-        opts = self.opts
         open_nodes = NodePool()
         open_nodes.push(Node((), (), -np.inf, None, 0, np.zeros(self.ctx.k)))
 
@@ -294,13 +300,13 @@ class _TreeSearch:
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return self._stop("time-limit", open_nodes)
             node = open_nodes.pop()
-            if node.bound >= self.upper - opts.eps_prune:
+            if node.bound >= self.upper - PRUNE_TOL:
                 continue
             self.bound_history.append(node.bound)
             xl, xu = self._box(node)
             bound, x_relax = node.bound, node.x_relax
             if self.generate_cuts:
-                cutoff = self.upper - opts.eps_prune
+                cutoff = self.upper - PRUNE_TOL
                 x_relax, relax = box_relaxation(self.ctx, xl, xu, node.x_relax, cutoff)
                 if relax >= cutoff:
                     self.bound_prunes += 1
@@ -315,19 +321,10 @@ class _TreeSearch:
                 if sol is None:
                     return self._stop("numerical-failure", open_nodes, bound)
                 f_lp = sol.objective
-                if f_lp >= self.upper - opts.eps_prune:
+                if f_lp >= self.upper - PRUNE_TOL:
                     break  # case (1): bound prune
                 x_lp = sol.x
-                if np.all(np.abs(x_lp) >= 1.0 - opts.eps_int):
-                    # a basic x can land within eps_int of +-1 without sitting
-                    # exactly on the bound; tangents anchored at the rounded
-                    # point are then not exactly enforced at x_lp, so resolve
-                    # the coordinate by branching instead of rounding
-                    not_exact = np.flatnonzero(np.abs(x_lp) != 1.0)
-                    if not_exact.size:
-                        j = int(not_exact[0])
-                        self._branch(open_nodes, node, j, max(f_lp, bound), sol.basis, x_relax)
-                        break
+                if np.all(np.abs(x_lp) == 1.0):
                     x_int = x_lp.copy()
                     if not self.generate_cuts:
                         # restricted MILP: an integral point is already optimal
@@ -335,19 +332,19 @@ class _TreeSearch:
                         self.offer(x_int, sol.w.copy(), f_lp)
                         break
                     g = self.ctx.g_all(x_int)
-                    new_rows = self._add_cuts(np.flatnonzero(sol.w < g - opts.eps_cut), x_int)
+                    new_rows = self._add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_int)
                     if not new_rows:
                         # case (2.1): feasible for the true losses (or, unreachable
                         # in exact arithmetic, every violated tangent is already
                         # pooled); store the exact objective so pruning never
-                        # drifts by eps_cut
+                        # drifts by CUT_TOL
                         self.offer(x_int, g.copy(), float(g.sum()))
                         break
                     problem = lpmod.add_rows(problem, new_rows)  # case (2.2)
                     warm = sol.basis
                     continue
                 # case (3): branch
-                j = select_branch_var(x_lp, opts.eps_int)
+                j = select_branch_var(x_lp)
                 self._branch(open_nodes, node, j, max(f_lp, bound), sol.basis, x_relax)
                 break
         return self._stop("optimal", open_nodes)
@@ -396,6 +393,20 @@ class _TreeSearch:
         return [cut for cut in make_cuts(self.ctx, rows, point) if self.pool.add(cut) is not None]
 
 
+def _report(method, pool, n_initial, t0, opts, **fields) -> SolveReport:
+    """A SolveReport with the pool counters, the wall time since t0 and the options filled in."""
+    return SolveReport(
+        method=method,
+        cuts_added=len(pool) - n_initial,
+        pool_size=len(pool),
+        pool_capacity=pool.capacity,
+        ratio_s_over_c=pool.ratio(),
+        wall_time=time.perf_counter() - t0,
+        options=opts.to_dict(),
+        **fields,
+    )
+
+
 def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> SolveReport:
     """Branch-and-bound with embedded cut generation; certifies a global minimum."""
     opts = opts or SolverOptions()
@@ -404,26 +415,23 @@ def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> So
     pool = initial_cuts(instance, ctx)
     n_initial = len(pool)
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
-    search = _TreeSearch(ctx, pool, opts, generate_cuts=True, deadline=deadline)
+    search = _TreeSearch(ctx, pool, generate_cuts=True, deadline=deadline, node_budget=opts.node_limit)
     x_zf = np.array(pool.cuts[0].point)  # every seed tangent is anchored at the ZF signs
     g_zf = ctx.g_all(x_zf)
     search.offer(x_zf, g_zf, float(g_zf.sum()))
     status = search.run()
-    wall = time.perf_counter() - t0
     inc = search.incumbent
-    return SolveReport(
-        method="gobmd",
+    return _report(
+        "gobmd",
+        pool,
+        n_initial,
+        t0,
+        opts,
         status=status,
         x_star=None if inc is None else inc.x_best,
         objective=None if inc is None else inc.upper,
         nodes_processed=search.nodes_processed,
         lp_solves=search.lp_solves,
-        cuts_added=len(pool) - n_initial,
-        pool_size=len(pool),
-        pool_capacity=pool.capacity,
-        ratio_s_over_c=pool.ratio(),
-        wall_time=wall,
-        options=opts.to_dict(),
         bound_prunes=search.bound_prunes,
         lower_bound=_json_num(search.lower_bound),
         incumbent_history=search.incumbent_history,
@@ -436,7 +444,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
 
     Each restricted optimum is a global lower bound; the loop stops once the
     returned point's true objective matches that bound to INCREMENTAL_GAP_TOL,
-    which certifies global optimality without trusting eps_cut-sized slack.
+    which certifies global optimality without trusting CUT_TOL-sized slack.
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
@@ -452,14 +460,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
     lower = -np.inf
     status = "optimal"
     while True:
-        search = _TreeSearch(
-            ctx,
-            pool,
-            opts,
-            generate_cuts=False,
-            deadline=deadline,
-            node_budget=opts.node_limit - nodes,
-        )
+        search = _TreeSearch(ctx, pool, generate_cuts=False, deadline=deadline, node_budget=opts.node_limit - nodes)
         inner_status = search.run()
         nodes += search.nodes_processed
         lps += search.lp_solves
@@ -476,7 +477,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         f_true = float(g.sum())
         if f_true < best_f:
             best_f, best_x = f_true, x_bar
-        viol = np.flatnonzero(w_bar < g - opts.eps_cut)
+        viol = np.flatnonzero(w_bar < g - CUT_TOL)
         if viol.size == 0 and f_true - milp_obj <= INCREMENTAL_GAP_TOL:
             break
         if viol.size == 0:
@@ -485,20 +486,17 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         added = [cut for cut in make_cuts(ctx, viol, x_bar) if pool.add(cut) is not None]
         if not added:
             break  # pool already tight at x_bar; gap is LP-tolerance noise
-    wall = time.perf_counter() - t0
-    return SolveReport(
-        method="incremental",
+    return _report(
+        "incremental",
+        pool,
+        n_initial,
+        t0,
+        opts,
         status=status,
         x_star=best_x,
         objective=None if best_x is None else best_f,
         nodes_processed=nodes,
         lp_solves=lps,
-        cuts_added=len(pool) - n_initial,
-        pool_size=len(pool),
-        pool_capacity=pool.capacity,
-        ratio_s_over_c=pool.ratio(),
-        wall_time=wall,
-        options=opts.to_dict(),
         lower_bound=_json_num(best_f if status == "optimal" else lower),
         outer_lower_bounds=lower_bounds,
     )

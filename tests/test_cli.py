@@ -27,7 +27,7 @@ def test_gen_and_solve(tmp_path, capsys):
     assert rc == 0
     assert doc["status"] == "optimal"
     assert doc["method"] == "gobmd"
-    assert doc["options"]["eps_cut"] == 1e-6  # resolved config echo
+    assert doc["options"]["node_limit"] == 1_000_000  # resolved config echo
 
 
 def test_solve_detectors_agree(tmp_path, capsys):
@@ -93,10 +93,36 @@ def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 def test_removed_search_options_are_unknown(tmp_path, capsys):
     inst = _gen(tmp_path)
     assert main(["solve", "--in", inst, "--pool-scope", "global"]) == 1
+    assert main(["solve", "--in", inst, "--eps-cut", "1e-6"]) == 1
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "cut_mode": "integral-only"}))
-    assert main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
-    assert "unknown config keys: ['cut_mode']" in capsys.readouterr().err
+    for key, value in (("cut_mode", "integral-only"), ("eps_prune", 1e-9)):
+        cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", key: value}))
+        capsys.readouterr()
+        assert main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_invalid_limits_exit_1(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "x.csv"
+    for key, value in (("time_limit", "2"), ("node_limit", "5")):
+        cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "trials": 1, key: value}))
+        capsys.readouterr()
+        assert main(["ber", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key} must be" in captured.err
+        assert "config:" not in captured.out and not out.exists()
+    assert main(["solve", "--in", inst, "--time-limit", "nan"]) == 1
+    assert "error: time_limit must be" in capsys.readouterr().err
+    assert main(["solve", "--in", inst, "--time-limit", "60"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{") :], parse_constant=_refuse_constant)
+    assert doc["options"] == {"node_limit": 1_000_000, "time_limit": 60.0}
 
 
 def test_solve_oracle_cap_exit(tmp_path, capsys):

@@ -259,6 +259,6 @@ def test_write_results_rejects_unknown_format(tmp_path):
 
 
 def test_options_travel_into_metadata():
-    cfg = small_cfg(options=SolverOptions(eps_cut=1e-7), trials=2, snr_db=[10.0], detectors=["gobmd"])
+    cfg = small_cfg(options=SolverOptions(node_limit=50), trials=2, snr_db=[10.0], detectors=["gobmd"])
     res = run_experiment(cfg)
-    assert res.metadata["config"]["options"]["eps_cut"] == 1e-7
+    assert res.metadata["config"]["options"]["node_limit"] == 50

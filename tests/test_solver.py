@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,7 @@ def test_initial_pool_ratio():
 def test_select_branch_var():
     assert select_branch_var(np.array([1.0, 0.2, -1.0])) == 1
     assert select_branch_var(np.array([0.0, 0.0])) == 0
+    assert select_branch_var(np.array([1.0, 1 - 1e-9, -(1 - 1e-8)])) == 2
     with pytest.raises(ValueError):
         select_branch_var(np.array([1.0, -1.0]))
 
@@ -173,10 +175,10 @@ def test_node_limit_downgrades_status():
     assert full.lower_bound == full.objective and full.gap == 0.0
 
 
-def _assert_brackets(rep, oracle, eps_prune=SolverOptions().eps_prune):
-    """lower_bound <= optimum <= objective; pruning is exact only to eps_prune."""
+def _assert_brackets(rep, oracle, prune_tol=gobmd.solver.PRUNE_TOL):
+    """lower_bound <= optimum <= objective; pruning is exact only to PRUNE_TOL."""
     assert rep.lower_bound is not None
-    assert rep.lower_bound <= oracle.objective + eps_prune
+    assert rep.lower_bound <= oracle.objective + prune_tol
     if rep.objective is not None:
         assert oracle.objective <= rep.objective + 1e-12 * max(1.0, oracle.objective)
         assert rep.gap == rep.objective - rep.lower_bound >= 0.0
@@ -263,18 +265,21 @@ def test_report_json_schema():
         assert key in doc
     assert doc["status"] == "optimal"
     assert doc["lower_bound"] == doc["objective"] and doc["gap"] == 0.0
-    assert doc["options"]["eps_cut"] == 1e-6
+    assert doc["options"]["node_limit"] == 1_000_000
     assert doc["bound_history"][0] is None  # root bound is -inf
 
 
 def test_options_validation():
-    for removed in ("node_selection", "branch_rule", "cut_mode", "pool_scope"):
+    for removed in ("node_selection", "branch_rule", "cut_mode", "pool_scope", "eps_int", "eps_cut", "eps_prune"):
         with pytest.raises(TypeError, match="unexpected keyword"):
             SolverOptions(**{removed: "best-bound"})
-    with pytest.raises(ValueError):
-        SolverOptions(eps_cut=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(node_limit=0)
+    for bad in (0, -1, "5", 5.0, True, None, np.int64(5)):
+        with pytest.raises(ValueError, match="node_limit"):
+            SolverOptions(node_limit=bad)
+    for bad in ("2", 0, 0.0, -1.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="time_limit"):
+            SolverOptions(time_limit=bad)
+    assert SolverOptions(node_limit=3, time_limit=2).to_dict() == {"node_limit": 3, "time_limit": 2}
 
 
 def _random_box(rng, k):

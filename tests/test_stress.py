@@ -2,7 +2,7 @@
 
 These push the node LPs through degenerate and badly scaled bases. The
 objectives are compared relative to max(1, |f|): below 1 the solver prunes
-with its absolute ``eps_prune``, so near f = 0 it certifies the optimum only
+with its absolute ``PRUNE_TOL``, so near f = 0 it certifies the optimum only
 to that absolute tolerance.
 """
 
