@@ -7,8 +7,9 @@ import dataclasses
 import json
 import re
 import sys
+from typing import NamedTuple
 
-from .harness import DETECTORS, SWEEPS, ExperimentConfig, run_experiment, write_results
+from .harness import DETECTORS, FORMATS, SWEEPS, ExperimentConfig, run_experiment, write_results
 from .model import GenConfig, InstanceFormatError, generate_instance, load_instance, save_instance
 from .solver import SolverOptions
 
@@ -37,22 +38,43 @@ def _add_solver_flags(p):
     p.add_argument("--time-limit", type=float)
 
 
-def _add_experiment_flags(p, with_ratios=False):
-    p.add_argument("--config", help="JSON config file; explicit flags override its keys")
-    p.add_argument("--n-ant", type=int, help="antenna count (complex domain)")
-    p.add_argument("--k-users", help="comma-separated user counts (complex domain)")
-    p.add_argument("--snr", help="comma-separated SNR values in dB")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--detectors", help="comma-separated subset of " + ",".join(DETECTORS))
-    p.add_argument("--workers", type=int)
-    p.add_argument("--only-optimal", action="store_const", const=True)
-    p.add_argument("--out", help="summary table output path")
-    p.add_argument("--records-out", help="optional per-trial records output path")
-    p.add_argument("--format", choices=["csv", "json"])
-    if with_ratios:
-        p.add_argument("--ratios", help="comma-separated N/K grid values")
-    _add_solver_flags(p)
+class _Setting(NamedTuple):
+    key: str  # the flag's dest and the config-file key
+    field: str | None  # the ExperimentConfig field it sets; None for the output settings
+    item: type | None  # item type of a comma-list value; None for a single value
+    default: object
+    flag: dict  # add_argument keywords
+    takes_ratios: bool | None = None  # taken only by sweeps whose takes_ratios equals this; None: by every sweep
+
+
+_SETTINGS = (
+    _Setting("n_ant", "n_antennas", None, None, {"type": int, "help": "antenna count (complex domain)"}, False),
+    _Setting("k_users", "k_users", int, None, {"help": "comma-separated user counts (complex domain)"}),
+    _Setting("snr", "snr_db", float, "10", {"help": "comma-separated SNR values in dB"}),
+    _Setting("trials", "trials", None, 200, {"type": int}),
+    _Setting("seed", "seed", None, 1, {"type": int}),
+    _Setting("detectors", "detectors", str, "gobmd", {"help": "comma-separated subset of " + ",".join(DETECTORS)}),
+    _Setting("workers", "workers", None, 1, {"type": int}),
+    _Setting("only_optimal", "only_optimal", None, False, {"action": "store_const", "const": True}),
+    _Setting("out", None, None, None, {"help": "summary table output path"}),
+    _Setting("records_out", None, None, None, {"help": "optional per-trial records output path"}),
+    _Setting("format", None, None, "csv", {"choices": FORMATS}),
+    _Setting("ratios", "ratios", int, None, {"help": "comma-separated N/K grid values"}, True),
+)
+
+
+def _sweep_settings(sweep) -> list[_Setting]:
+    return [s for s in _SETTINGS if s.takes_ratios in (None, sweep.takes_ratios)]
+
+
+def _split(setting: _Setting, value):
+    """A comma string as a list of the setting's items; any other value reaches ExperimentConfig as it is."""
+    if setting.item is None or not isinstance(value, str):
+        return value
+    try:
+        return [setting.item(v) for v in value.split(",") if v != ""]
+    except ValueError:
+        raise ValueError(f"{setting.key} must hold comma-separated {setting.item.__name__}s, got {value!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -76,7 +98,10 @@ def build_parser() -> _Parser:
     for experiment, sweep in SWEEPS.items():
         p = sub.add_parser(sweep.command, help=sweep.help)
         p.set_defaults(experiment=experiment)
-        _add_experiment_flags(p, with_ratios=sweep.takes_ratios)
+        p.add_argument("--config", help="JSON config file; explicit flags override its keys")
+        for setting in _sweep_settings(sweep):
+            p.add_argument("--" + setting.key.replace("_", "-"), **setting.flag)
+        _add_solver_flags(p)
     return parser
 
 
@@ -86,14 +111,6 @@ _SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverOptions))
 def _solver_options(source: dict) -> SolverOptions:
     kwargs = {k: source[k] for k in _SOLVER_KEYS if source.get(k) is not None}
     return SolverOptions(**kwargs)
-
-
-def _parse_list(value, cast):
-    if value is None:
-        return None
-    if isinstance(value, (list, tuple)):
-        return [cast(v) for v in value]
-    return [cast(v) for v in str(value).split(",") if v != ""]
 
 
 def _resolve(args, defaults: dict) -> dict:
@@ -119,41 +136,23 @@ def _resolve(args, defaults: dict) -> dict:
     return resolved
 
 
-_EXPERIMENT_DEFAULTS = {
-    "n_ant": None,
-    "k_users": None,
-    "snr": "10",
-    "trials": 200,
-    "seed": 1,
-    "detectors": "gobmd",
-    "workers": 1,
-    "only_optimal": False,
-    "out": None,
-    "records_out": None,
-    "format": "csv",
-    "ratios": None,
-    **dict.fromkeys(_SOLVER_KEYS),
-}
-
-
 def _cmd_experiment(args) -> int:
-    resolved = _resolve(args, _EXPERIMENT_DEFAULTS)
+    defaults = {s.key: s.default for s in _sweep_settings(SWEEPS[args.experiment])}
+    resolved = _resolve(args, {**defaults, **dict.fromkeys(_SOLVER_KEYS)})
     for required in ("k_users", "out"):
         if resolved[required] is None:
             flag = "--" + required.replace("_", "-")
             raise UsageError(f"gobmd {args.command}: the following arguments are required: {flag}")
+    if resolved["format"] not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {resolved['format']!r}")
+    for key in ("out", "records_out"):
+        if not isinstance(resolved[key], (str, type(None))):
+            raise ValueError(f"{key} must be a path string, got {resolved[key]!r}")
+    # a setting the sweep does not take leaves its field None
     cfg = ExperimentConfig(
         experiment=args.experiment,
-        n_antennas=resolved["n_ant"],
-        k_users=_parse_list(resolved["k_users"], int),
-        snr_db=_parse_list(resolved["snr"], float),
-        trials=int(resolved["trials"]),
-        seed=int(resolved["seed"]),
-        detectors=_parse_list(resolved["detectors"], str),
         options=_solver_options(resolved),
-        ratios=_parse_list(resolved["ratios"], int),
-        workers=int(resolved["workers"]),
-        only_optimal=bool(resolved["only_optimal"]),
+        **{s.field: _split(s, resolved.get(s.key)) for s in _SETTINGS if s.field},
     )
     print("config:", json.dumps({k: v for k, v in sorted(resolved.items())}))
     result = run_experiment(cfg)

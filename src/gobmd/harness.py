@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import multiprocessing
 import os
 import statistics
@@ -24,10 +25,15 @@ import numpy as np
 from . import __version__
 from .baselines import exhaustive_search, zero_forcing
 from .loss import LossContext, f_obj
-from .model import RNG_IDENTITY, GenConfig, RealInstance, format_double, generate_instance
+from .model import RNG_IDENTITY, GenConfig, RealInstance, bit_error_rate, format_double, generate_instance
 from .solver import SolverOptions, solve_gobmd, solve_incremental
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FORMATS = ("csv", "json")
+
+
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 1
 
 
 @dataclass
@@ -45,29 +51,38 @@ class ExperimentConfig:
     only_optimal: bool = False  # aggregate BER over optimal-status trials only
 
     def __post_init__(self):
+        # a config file's JSON values reach these fields as they are, so each type is checked here
         sweep = SWEEPS.get(self.experiment)
         if sweep is None:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        for name in ("detectors", "k_users", "snr_db") + (("ratios",) if sweep.takes_ratios else ()):
-            values = getattr(self, name) or []
-            if not values:
-                raise ValueError(f"{name} must be non-empty")
+        if type(self.only_optimal) is not bool:
+            raise ValueError(f"only_optimal must be true or false, got {self.only_optimal!r}")
+        items = {
+            "detectors": ("names from " + ", ".join(DETECTORS), lambda v: isinstance(v, str) and v in DETECTORS),
+            "k_users": ("integers >= 1", _is_count),
+            "snr_db": ("finite numbers", lambda v: type(v) in (int, float) and math.isfinite(v)),
+        }
+        if sweep.takes_ratios:
+            items["ratios"] = ("integers >= 1", _is_count)
+        for name, (kind, ok) in items.items():
+            values = getattr(self, name)
+            if not isinstance(values, list) or not values or not all(map(ok, values)):
+                raise ValueError(f"{name} must be a non-empty list of {kind}, got {values!r}")
             # a repeated value would run its points twice and merge them into one summary row
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has repeated values: {values}")
-        for d in self.detectors:
-            if d not in DETECTORS:
-                raise ValueError(f"unknown detector {d!r}")
+        self.snr_db = [float(v) for v in self.snr_db]  # JSON 10 and 10.0 are one SNR, written as a double
+        counts = {"trials": 1, "seed": 0, "workers": 1}
+        if not sweep.takes_ratios:
+            counts["n_antennas"] = max(self.k_users)  # GenConfig needs n_antennas >= n_users
+        for name, least in counts.items():
+            v = getattr(self, name)
+            if type(v) is not int or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
         if sweep.detector is not None and sweep.detector not in self.detectors:
             raise ValueError(f"{self.experiment} requires the {sweep.detector} detector")
         if sweep.takes_ratios and len(self.k_users) != 1:
             raise ValueError(f"{self.experiment} uses a single k_users value as the base")
-        if not sweep.takes_ratios and self.n_antennas is None:
-            raise ValueError("n_antennas is required")
         if sweep.single_snr and len(self.snr_db) != 1:
             raise ValueError(f"{self.experiment} uses a single SNR value")
 
@@ -134,9 +149,7 @@ def _trial_task(args):
     for det in detectors:
         report = DETECTORS[det](instance, opts)
         x = report["x_star"]
-        ber = None
-        if x is not None and instance.x_true is not None:
-            ber = float(np.mean(instance.x_true != np.asarray(x, dtype=float)))
+        ber = None if x is None or instance.x_true is None else bit_error_rate(instance.x_true, x)
         rows.append(
             {
                 **point,
@@ -317,7 +330,7 @@ def _csv_cell(v):
 
 def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict | None = None, columns=None):
     """Persist a result table; CSV gets a header row, JSON adds the metadata block."""
-    if fmt not in ("csv", "json"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     tmp = path + ".tmp"
     try:

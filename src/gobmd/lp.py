@@ -155,7 +155,6 @@ class LpSolution:
     w: np.ndarray
     objective: float
     basis: BasisToken | None
-    y: np.ndarray  # row duals
     reduced_costs: np.ndarray  # over (x, w, slack) columns
     iterations: int
 
@@ -164,56 +163,50 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
     """Solve the node LP, optionally warm-starting from a compatible basis token.
 
     Deterministic: fixed tie-breaking by lowest index, Bland's rule after a
-    run of degenerate pivots. Correctness never depends on the token; an
-    incompatible or singular warm basis falls back to a cold start, and a
-    singular basis on the cold start ends with status ``numerical-failure``.
+    run of degenerate pivots. Correctness never depends on the token: an
+    incompatible one is ignored, and a warm start that does not end optimal
+    is retried cold once. A singular basis ends a run with status
+    ``numerical-failure``; ``iterations`` counts the last run.
     """
     m, K, N = p.n_rows, p.n_x, p.n_w
     if max_iter is None:
         max_iter = 50 * (K + N + m)
-    if m == 0:
-        x = p.x_lower.copy()
-        w = p.w_lower.copy()
-        token = BasisToken(np.zeros(0, dtype=int), _cold_vstat(K, N, 0), 0, K, N)
-        d = np.concatenate([np.zeros(K), np.ones(N)])
-        return LpSolution("optimal", x, w, float(w.sum()), token, np.zeros(0), d, 0)
-
     core = _DualSimplex(p)
-    try:
-        status, iters = core.run(*_load_start(p, warm, K + N + m), max_iter)
-    except SingularBasisError:
-        try:  # cold restart
-            status, iters = core.run(*_load_start(p, None, K + N + m), max_iter)
+    cold_vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
+    cold_vstat[K + N :] = BASIC
+    for start in (_warm_start(p, warm), (K + N + np.arange(m), cold_vstat)):
+        if start is None:
+            continue
+        try:
+            status, iters = core.run(*start, max_iter)
         except SingularBasisError:
             status, iters = "numerical-failure", max_iter
+        if status == "optimal":
+            break
 
     x = core.v[:K].copy()
     w = core.v[K : K + N].copy()
     token = BasisToken(core.basis.copy(), core.vstat.copy(), m, K, N)
-    return LpSolution(status, x, w, float(w.sum()), token, core.y.copy(), core.d.copy(), iters)
+    return LpSolution(status, x, w, float(w.sum()), token, core.d.copy(), iters)
 
 
-def _cold_vstat(K, N, m):
-    vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
-    vstat[K + N :] = BASIC
-    return vstat
-
-
-def _load_start(p: LpProblem, warm: BasisToken | None, n: int):
+def _warm_start(p: LpProblem, warm: BasisToken | None):
+    """(basis, vstat) from a compatible token, the new rows' slacks basic; None without one."""
     m, K, N = p.n_rows, p.n_x, p.n_w
-    if warm is not None and warm.n_x == K and warm.n_w == N and warm.n_rows <= m:
-        n_old = K + N + warm.n_rows
-        basis = np.empty(m, dtype=int)
-        basis[: warm.n_rows] = warm.basis
-        basis[warm.n_rows :] = np.arange(n_old, n)
-        vstat = np.full(n, BASIC, dtype=np.int8)
-        vstat[:n_old] = warm.vstat
-        vstat[basis] = BASIC
-        # only x columns have a finite upper bound to sit at
-        at_upper = np.flatnonzero(vstat == AT_UPPER)
-        if np.all(at_upper < K) and len(np.unique(basis)) == m:
-            return basis, vstat
-    return K + N + np.arange(m), _cold_vstat(K, N, m)
+    if warm is None or warm.n_x != K or warm.n_w != N or warm.n_rows > m:
+        return None
+    n_old = K + N + warm.n_rows
+    basis = np.empty(m, dtype=int)
+    basis[: warm.n_rows] = warm.basis
+    basis[warm.n_rows :] = np.arange(n_old, K + N + m)
+    vstat = np.full(K + N + m, BASIC, dtype=np.int8)
+    vstat[:n_old] = warm.vstat
+    vstat[basis] = BASIC
+    # only x columns have a finite upper bound to sit at
+    at_upper = np.flatnonzero(vstat == AT_UPPER)
+    if np.all(at_upper < K) and len(np.unique(basis)) == m:
+        return basis, vstat
+    return None
 
 
 class _DualSimplex:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import lp as lpmod
-from .baselines import least_squares
+from .baselines import zero_forcing
 # make_cut stays importable from here: bench/layertrace.py wraps gobmd.solver.make_cut
 from .loss import Cut, LossContext, box_relaxation, make_cut, make_cuts  # noqa: F401
-from .model import RealInstance, quantize_one_bit
+from .model import RealInstance
 
 # objective gap accepted by the incremental loop's optimality certificate
 INCREMENTAL_GAP_TOL = 1e-7
@@ -175,7 +175,7 @@ def select_branch_var(x_lp: np.ndarray) -> int:
 def initial_cuts(instance: RealInstance, ctx: LossContext | None = None) -> CutPool:
     """Seed pool: one tangent per observation, all anchored at the zero-forcing point."""
     ctx = ctx or LossContext.from_instance(instance)
-    x_zf = quantize_one_bit(least_squares(instance.H, instance.r))
+    x_zf = zero_forcing(instance)
     pool = CutPool(ctx.n, ctx.k)
     for cut in make_cuts(ctx, range(ctx.n), x_zf):
         pool.add(cut)
@@ -261,11 +261,12 @@ class _TreeSearch:
     exactly, which is what the outer incremental loop needs; f bounds nothing
     there, so no relaxation is taken.
 
-    A node LP that ends non-optimal (a failed warm start is first retried
-    cold) ends the search with status ``numerical-failure``; the incumbent
-    and counters are kept. However the search ends, ``lower_bound`` is the
-    least bound of the nodes still open (the node in hand included), capped
-    at the incumbent's value: a valid lower bound on the problem searched.
+    A node LP that ends non-optimal (``solve_lp`` has already retried a
+    failed warm start cold) ends the search with status
+    ``numerical-failure``; the incumbent and counters are kept. However the
+    search ends, ``lower_bound`` is the least bound of the nodes still open
+    (the node in hand included), capped at the incumbent's value: a valid
+    lower bound on the problem searched.
     """
 
     def __init__(self, ctx, pool, generate_cuts, deadline, node_budget):
@@ -317,8 +318,11 @@ class _TreeSearch:
             problem = self._build_problem(xl, xu)
             warm = node.warm
             while True:
-                sol = self._solve(problem, warm)
-                if sol is None:
+                sol = lpmod.solve_lp(problem, warm)
+                self.lp_solves += 1
+                # a node LP is never infeasible (w is unbounded above), so any
+                # status but optimal is numerical trouble
+                if sol.status != "optimal":
                     return self._stop("numerical-failure", open_nodes, bound)
                 f_lp = sol.objective
                 if f_lp >= self.upper - PRUNE_TOL:
@@ -377,17 +381,6 @@ class _TreeSearch:
             x_upper=xu,
             w_lower=np.zeros(self.ctx.n),
         )
-
-    def _solve(self, problem, warm):
-        """Optimal node-LP solution, or None; a failed warm start is retried cold."""
-        sol = lpmod.solve_lp(problem, warm)
-        self.lp_solves += 1
-        # a node LP is never infeasible (w is unbounded above), so any status
-        # but optimal is numerical trouble
-        if sol.status != "optimal" and warm is not None:
-            sol = lpmod.solve_lp(problem, None)  # retry cold
-            self.lp_solves += 1
-        return sol if sol.status == "optimal" else None
 
     def _add_cuts(self, rows, point) -> list[Cut]:
         return [cut for cut in make_cuts(self.ctx, rows, point) if self.pool.add(cut) is not None]

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gobmd.lp
-from gobmd.cli import main
+from gobmd.cli import build_parser, main
 from gobmd.model import RealInstance, save_instance
 
 
@@ -110,12 +112,44 @@ def test_invalid_limits_exit_1(tmp_path, capsys):
     inst = _gen(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     out = tmp_path / "x.csv"
-    for key, value in (("time_limit", "2"), ("node_limit", "5")):
+    # (config key, value, the setting the error names); JSON values are checked, never cast
+    cases = (
+        ("time_limit", "2", "time_limit"),
+        ("node_limit", "5", "node_limit"),
+        ("n_ant", "6", "n_antennas"),
+        ("n_ant", 6.5, "n_antennas"),
+        ("n_ant", 1, "n_antennas"),
+        ("only_optimal", "false", "only_optimal"),
+        ("trials", 2.9, "trials"),
+        ("trials", "5", "trials"),
+        ("workers", 1.5, "workers"),
+        ("k_users", [2.7], "k_users"),
+        ("seed", True, "seed"),
+        ("seed", -1, "seed"),
+        ("format", "xml", "format"),
+        ("records_out", 5, "records_out"),
+    )
+    for key, value, name in cases:
         cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "trials": 1, key: value}))
         capsys.readouterr()
-        assert main(["ber", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main(["ber", "--config", str(cfg_path), "--out", str(out)]) == 1, (key, value)
         captured = capsys.readouterr()
-        assert f"error: {key} must be" in captured.err
+        assert f"error: {name} must" in captured.err, (key, value, captured.err)
+        assert "config:" not in captured.out and not out.exists()
+    # n_ant belongs to the sweeps without a ratios axis, ratios to the phase grid alone
+    for argv in (["phase", "--k-users", "2", "--ratios", "2", "--n-ant", "6"],
+                 ["ber", "--n-ant", "6", "--k-users", "2", "--ratios", "2"]):
+        capsys.readouterr()
+        assert main([*argv, "--trials", "1", "--out", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
+        assert "config:" not in captured.out and not out.exists()
+    for command, key in (("phase", "n_ant"), ("ber", "ratios")):
+        cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "ratios": "2", "trials": 1}))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert f"unknown config keys: ['{key}']" in captured.err
         assert "config:" not in captured.out and not out.exists()
     assert main(["solve", "--in", inst, "--time-limit", "nan"]) == 1
     assert "error: time_limit must be" in capsys.readouterr().err
@@ -273,3 +307,12 @@ def test_experiment_determinism(tmp_path):
         assert rc == 0
         outs.append(open(out).read())
     assert outs[0] == outs[1]  # summary tables carry no wall-time columns
+
+
+def test_readme_cli_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("gobmd ")]
+    assert [argv[1] for argv in commands] == ["gen", "solve", "ber", "runtime", "ratio", "phase"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

@@ -227,19 +227,36 @@ def test_node_lp_failure_is_a_status(monkeypatch):
 
 @pytest.mark.parametrize("status", ["infeasible", "iteration-limit", "numerical-failure"])
 def test_failed_warm_node_lp_is_retried_cold(monkeypatch, status):
-    real = gobmd.lp.solve_lp
+    # every warm run inside solve_lp fails; solve_lp retries it cold, once
+    warm_start, run = gobmd.lp._warm_start, gobmd.lp._DualSimplex.run
+    warm_bases, warm_runs = [], []
+
+    def tracked_warm_start(p, warm):
+        start = warm_start(p, warm)
+        if start is not None:
+            warm_bases.append(start[0])
+        return start
+
+    def warm_fails(core, basis, vstat, max_iter):
+        warm_runs.append(bool(warm_bases) and basis is warm_bases[-1])
+        result = run(core, basis, vstat, max_iter)
+        if not warm_runs[-1]:
+            return result
+        if status == "numerical-failure":
+            raise gobmd.lp.SingularBasisError("test")
+        return status, result[1]
+
     inst = generate_instance(GenConfig(8, 3, 10.0, 61))
     ref = solve_gobmd(inst)
-
-    def warm_fails(problem, warm=None, max_iter=None):
-        sol = real(problem, warm, max_iter)
-        return sol if warm is None else dataclasses.replace(sol, status=status)
-
-    monkeypatch.setattr(gobmd.lp, "solve_lp", warm_fails)
+    monkeypatch.setattr(gobmd.lp, "_warm_start", tracked_warm_start)
+    monkeypatch.setattr(gobmd.lp._DualSimplex, "run", warm_fails)
     rep = solve_gobmd(inst)
     assert rep.status == "optimal"
     assert rep.objective == pytest.approx(ref.objective, rel=1e-12)
-    assert rep.lp_solves > ref.lp_solves
+    # each failed warm run is followed by its cold retry, and that retry is not another LP
+    assert True in warm_runs
+    assert all(not nxt for cur, nxt in zip(warm_runs, warm_runs[1:]) if cur)
+    assert rep.lp_solves == warm_runs.count(False)
 
 
 def test_report_json_schema():
