@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 from typing import NamedTuple
@@ -146,8 +147,12 @@ def _cmd_experiment(args) -> int:
     if resolved["format"] not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {resolved['format']!r}")
     for key in ("out", "records_out"):
-        if not isinstance(resolved[key], (str, type(None))):
-            raise ValueError(f"{key} must be a path string, got {resolved[key]!r}")
+        path = resolved[key]
+        if not isinstance(path, (str, type(None))):
+            raise ValueError(f"{key} must be a path string, got {path!r}")
+        # checked here, so a sweep never runs only to fail when it writes its results
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"{key} must be a path in an existing directory, got {path!r}")
     # a setting the sweep does not take leaves its field None
     cfg = ExperimentConfig(
         experiment=args.experiment,

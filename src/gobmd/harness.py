@@ -72,6 +72,10 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has repeated values: {values}")
         self.snr_db = [float(v) for v in self.snr_db]  # JSON 10 and 10.0 are one SNR, written as a double
+        # the field the sweep does not read stays None, so the metadata never records an ignored value
+        unused = "n_antennas" if sweep.takes_ratios else "ratios"
+        if getattr(self, unused) is not None:
+            raise ValueError(f"{unused} must be None for {self.experiment}, got {getattr(self, unused)!r}")
         counts = {"trials": 1, "seed": 0, "workers": 1}
         if not sweep.takes_ratios:
             counts["n_antennas"] = max(self.k_users)  # GenConfig needs n_antennas >= n_users

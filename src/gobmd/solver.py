@@ -17,7 +17,7 @@ from . import lp as lpmod
 from .baselines import zero_forcing
 # make_cut stays importable from here: bench/layertrace.py wraps gobmd.solver.make_cut
 from .loss import Cut, LossContext, box_relaxation, make_cut, make_cuts  # noqa: F401
-from .model import RealInstance
+from .model import RealInstance, quantize_one_bit
 
 # objective gap accepted by the incremental loop's optimality certificate
 INCREMENTAL_GAP_TOL = 1e-7
@@ -159,17 +159,18 @@ class NodePool:
         return len(self._heap)
 
 
-def select_branch_var(x_lp: np.ndarray) -> int:
-    """Most fractional coordinate: the least |x_j| among the x_j not at +-1.
+def select_branch_var(point: np.ndarray, free: np.ndarray) -> int:
+    """The coordinate of least |point_j| among those marked ``free``.
 
-    A basic x_j can overshoot its bound by the LP's feasibility tolerance, so
-    the complement of exact integrality is |x_j| != 1, not |x_j| < 1.
+    ``solve_gobmd`` passes the relaxation minimizer and the coordinates its
+    node leaves free; the restricted MILP passes the LP point and |x_j| != 1,
+    the exact complement of its integrality test (a basic x_j can overshoot
+    its bound by the LP's feasibility tolerance, so it is not |x_j| < 1).
     """
-    a = np.abs(np.asarray(x_lp, dtype=float))
-    frac = a != 1.0
-    if not frac.any():
-        raise ValueError("select_branch_var called with an integral point")
-    return int(np.argmin(np.where(frac, a, np.inf)))
+    free = np.asarray(free, dtype=bool)
+    if not free.any():
+        raise ValueError("select_branch_var called with no free coordinate")
+    return int(np.argmin(np.where(free, np.abs(point), np.inf)))
 
 
 def initial_cuts(instance: RealInstance, ctx: LossContext | None = None) -> CutPool:
@@ -252,14 +253,17 @@ class _TreeSearch:
     losses, and the tangents violated by more than ``CUT_TOL`` are added in
     place (re-solving the tightened LP); any other LP optimum is branched on.
     A node is pruned once its bound reaches the incumbent's value less
-    ``PRUNE_TOL``. Before its LP,
-    each node is bounded by the continuous relaxation min f over its box and
-    pruned on that bound when it can be (the relaxation stops as soon as its
-    bound reaches the prune cutoff); otherwise the bound raises the
-    children's, and its minimizer is where their relaxations start. Without
-    ``generate_cuts`` the search solves the restricted MILP on the pool
-    exactly, which is what the outer incremental loop needs; f bounds nothing
-    there, so no relaxation is taken.
+    ``PRUNE_TOL``. Before its LP, each node is bounded by the continuous
+    relaxation min f over its box and pruned on that bound when it can be
+    (the relaxation stops as soon as its bound reaches the prune cutoff).
+    Otherwise the relaxation steers the node: the signs of its minimizer
+    x_relax are offered as an incumbent, at their true losses, and the prune
+    is tested again against the new incumbent; a branch is on the free
+    coordinate of least |x_relax_j|; the bound raises the children's, and
+    x_relax is where their relaxations start. Without ``generate_cuts`` the
+    search solves the restricted MILP on the pool exactly, which is what the
+    outer incremental loop needs; f bounds nothing there, so no relaxation is
+    taken and a branch is on the LP point.
 
     A node LP that ends non-optimal (``solve_lp`` has already retried a
     failed warm start cold) ends the search with status
@@ -309,7 +313,12 @@ class _TreeSearch:
             if self.generate_cuts:
                 cutoff = self.upper - PRUNE_TOL
                 x_relax, relax = box_relaxation(self.ctx, xl, xu, node.x_relax, cutoff)
-                if relax >= cutoff:
+                if relax < cutoff:
+                    # x_relax lies in the box, so its rounding keeps the fixed signs
+                    x_round = quantize_one_bit(x_relax)
+                    g = self.ctx.g_all(x_round)
+                    self.offer(x_round, g, float(g.sum()))
+                if relax >= self.upper - PRUNE_TOL:
                     self.bound_prunes += 1
                     continue
                 bound = max(bound, relax)
@@ -348,7 +357,10 @@ class _TreeSearch:
                     warm = sol.basis
                     continue
                 # case (3): branch
-                j = select_branch_var(x_lp)
+                if self.generate_cuts:
+                    j = select_branch_var(x_relax, xl < xu)
+                else:
+                    j = select_branch_var(x_lp, np.abs(x_lp) != 1.0)
                 self._branch(open_nodes, node, j, max(f_lp, bound), sol.basis, x_relax)
                 break
         return self._stop("optimal", open_nodes)

@@ -128,6 +128,7 @@ def test_invalid_limits_exit_1(tmp_path, capsys):
         ("seed", -1, "seed"),
         ("format", "xml", "format"),
         ("records_out", 5, "records_out"),
+        ("records_out", str(tmp_path / "missing" / "r.csv"), "records_out"),
     )
     for key, value, name in cases:
         cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "trials": 1, key: value}))
@@ -136,6 +137,12 @@ def test_invalid_limits_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"error: {name} must" in captured.err, (key, value, captured.err)
         assert "config:" not in captured.out and not out.exists()
+    # a missing output directory is refused before the sweep runs
+    missing = tmp_path / "missing" / "o.csv"
+    assert main(["ber", "--n-ant", "6", "--k-users", "2", "--trials", "1", "--out", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert "error: out must be a path in an existing directory" in captured.err
+    assert "config:" not in captured.out and not missing.parent.exists()
     # n_ant belongs to the sweeps without a ratios axis, ratios to the phase grid alone
     for argv in (["phase", "--k-users", "2", "--ratios", "2", "--n-ant", "6"],
                  ["ber", "--n-ant", "6", "--k-users", "2", "--ratios", "2"]):

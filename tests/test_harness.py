@@ -32,8 +32,14 @@ def test_config_validation():
         small_cfg(detectors=["nope"])
     with pytest.raises(ValueError):
         small_cfg(experiment="ratio-sweep", detectors=["zf"], snr_db=[10.0])
-    with pytest.raises(ValueError):
-        small_cfg(experiment="phase-grid", ratios=None)
+    with pytest.raises(ValueError, match="ratios must be a non-empty list"):
+        small_cfg(experiment="phase-grid", n_antennas=None, ratios=None)
+    # each sweep refuses the field it would ignore, so the metadata never records it
+    with pytest.raises(ValueError, match="n_antennas must be None for phase-grid, got 999"):
+        small_cfg(experiment="phase-grid", n_antennas=999, ratios=[2])
+    for experiment in ("ber-sweep", "runtime-sweep", "ratio-sweep"):
+        with pytest.raises(ValueError, match=f"ratios must be None for {experiment}, got \\[7\\]"):
+            small_cfg(experiment=experiment, detectors=["gobmd"], snr_db=[10.0], ratios=[7])
     with pytest.raises(ValueError):
         small_cfg(experiment="what")
     with pytest.raises(ValueError):

@@ -54,11 +54,23 @@ def test_initial_pool_ratio():
 
 
 def test_select_branch_var():
-    assert select_branch_var(np.array([1.0, 0.2, -1.0])) == 1
-    assert select_branch_var(np.array([0.0, 0.0])) == 0
-    assert select_branch_var(np.array([1.0, 1 - 1e-9, -(1 - 1e-8)])) == 2
+    def at_lp_point(x):  # the restricted MILP's rule: free where |x_j| != 1
+        x = np.array(x)
+        return select_branch_var(x, np.abs(x) != 1.0)
+
+    assert at_lp_point([1.0, 0.2, -1.0]) == 1
+    assert at_lp_point([0.0, 0.0]) == 0
+    assert at_lp_point([1.0, 1 - 1e-9, -(1 - 1e-8)]) == 2
     with pytest.raises(ValueError):
-        select_branch_var(np.array([1.0, -1.0]))
+        at_lp_point([1.0, -1.0])
+    # the full search's rule: least |x_j| among the coordinates its box leaves free
+    point = np.array([0.05, -0.3, 1.0, 0.4])
+    assert select_branch_var(point, [True, True, True, True]) == 0
+    assert select_branch_var(point, [False, True, True, True]) == 1
+    assert select_branch_var(point, [False, False, True, True]) == 3
+    assert select_branch_var(point, [False, False, True, False]) == 2
+    with pytest.raises(ValueError):
+        select_branch_var(point, [False] * 4)
 
 
 def test_node_pool_pop_order():
@@ -136,6 +148,71 @@ def test_objective_equals_f_at_x_star():
     rep = solve_gobmd(inst)
     ctx = LossContext.from_instance(inst)
     assert rep.objective == pytest.approx(f_obj(ctx, rep.x_star), abs=1e-9)
+
+
+def _box_of(node, k):
+    lower, upper = np.full(k, -1.0), np.full(k, 1.0)
+    lower[list(node.fixed_pos)] = 1.0
+    upper[list(node.fixed_neg)] = -1.0
+    return lower, upper
+
+
+def test_relaxation_steers_the_search(monkeypatch):
+    # each node's relaxation (box, minimizer x_hat, bound, cutoff) in order, and
+    # each child pushed, next to the relaxation of the node it was branched from
+    relaxed, branched = [], []
+    relax, push = gobmd.solver.box_relaxation, gobmd.solver.NodePool.push
+
+    def recording_relax(ctx, lower, upper, x0, cutoff=np.inf):
+        x, bound = relax(ctx, lower, upper, x0, cutoff)
+        relaxed.append((lower.copy(), upper.copy(), x.copy(), bound, cutoff))
+        return x, bound
+
+    def recording_push(pool, node):
+        if node.depth > 0:
+            branched.append((relaxed[-1], node))
+        push(pool, node)
+
+    monkeypatch.setattr(gobmd.solver, "box_relaxation", recording_relax)
+    monkeypatch.setattr(gobmd.solver.NodePool, "push", recording_push)
+    n_unpruned = n_branches = n_fixed = 0
+    for snr in (0.0, 10.0):
+        for trial in range(6):
+            inst = generate_instance(GenConfig(10, 5, snr, 4000), trial)
+            ctx = LossContext.from_instance(inst)
+            relaxed.clear()
+            branched.clear()
+            rep = solve_gobmd(inst)
+            assert rep.status == "optimal"
+            # the incumbent after a node whose relaxation did not prune it is no
+            # worse than sign(x_hat) with the node's fixed signs: the next node's
+            # cutoff, or the final objective, shows it
+            uppers = [cutoff + gobmd.solver.PRUNE_TOL for *_, cutoff in relaxed[1:]] + [rep.objective]
+            for (lower, upper, x, bound, cutoff), after in zip(relaxed, uppers):
+                if bound >= cutoff:
+                    continue
+                n_unpruned += 1
+                n_fixed += int(np.sum(lower == upper))
+                rounded = np.where(lower == upper, lower, np.where(x >= 0.0, 1.0, -1.0))
+                assert after <= f_obj(ctx, rounded)
+            # every branch is on the free coordinate of least |x_hat_j|
+            for (lower, upper, x, *_), child in branched:
+                c_lower, c_upper = _box_of(child, ctx.k)
+                (j,) = np.flatnonzero((lower < upper) & (c_lower == c_upper))
+                free = lower < upper
+                assert j == np.argmin(np.where(free, np.abs(x), np.inf)), (snr, trial, j, x)
+                n_branches += 1
+    assert n_unpruned >= 50 and n_fixed > 0 and n_branches >= 50, (n_unpruned, n_fixed, n_branches)
+
+
+def test_gobmd_matches_oracle_k16_n32_5db():
+    # 8 users, 16 antennas: K = 16, N = 32 at 5 dB, trials 0..7
+    for trial in range(8):
+        inst = generate_instance(GenConfig(16, 8, 5.0, 4000), trial)
+        rep = solve_gobmd(inst)
+        oracle = exhaustive_search(inst)
+        assert rep.status == "optimal", trial
+        assert rep.objective == pytest.approx(oracle.objective, rel=1e-12), trial
 
 
 def test_incumbent_history_non_increasing():
