@@ -25,11 +25,22 @@ product with the m x K coefficients, the w block a sum over each w's rows, and
 the slack block a sign flip. A pivot costs O(m (K + m)), and the pivot loop
 updates its per-column and per-position state only where the pivot changes
 it.
+
+Warm starts reuse work already done. A solve returns a ``BasisToken``: its
+final basis and, when it ends optimal, the basis inverse, which is then
+exactly the one a refactor of that basis gives. A solve from the token whose
+problem has the token's rows, as a branch child's has (only its bounds
+differ), starts from that inverse and recomputes only the basic values and
+the duals, so the pivot path is the one a refactor would give; with rows
+added it refactors. The inverse costs m^2 floats per token, and in the
+branch-and-bound one token, so one inverse, is shared by the two children of
+a branched node. A search root has no parent to start from; ``crash_start``
+gives it a dual-feasible basis with an empty working matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.blas import dger as _dger
@@ -55,13 +66,21 @@ class SingularBasisError(RuntimeError):
 
 @dataclass(frozen=True)
 class BasisToken:
-    """Opaque warm-start state; valid for the same columns and a superset of rows."""
+    """Opaque warm-start state; valid for the same columns and a superset of rows.
+
+    ``basis`` and ``vstat`` give the basic column of each row and the bound
+    state of every column. ``binv`` is the read-only m x m basis inverse of an
+    optimal solve (m^2 floats; the two children of a branched node share
+    one): a solve of a problem with the token's row count starts from it
+    instead of refactoring. It takes no part in ``==`` or ``repr``.
+    """
 
     basis: np.ndarray
     vstat: np.ndarray
     n_rows: int
     n_x: int
     n_w: int
+    binv: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -163,10 +182,12 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
     """Solve the node LP, optionally warm-starting from a compatible basis token.
 
     Deterministic: fixed tie-breaking by lowest index, Bland's rule after a
-    run of degenerate pivots. Correctness never depends on the token: an
-    incompatible one is ignored, and a warm start that does not end optimal
-    is retried cold once. A singular basis ends a run with status
-    ``numerical-failure``; ``iterations`` counts the last run.
+    run of degenerate pivots. The token must come from a problem whose rows
+    are the first rows of ``p``, with any bounds: its basis is then dual
+    feasible for ``p``. One of other columns or more rows is ignored, and a
+    warm start that does not end optimal is retried cold once. A singular
+    basis ends a run with status ``numerical-failure``; ``iterations``
+    counts the last run.
     """
     m, K, N = p.n_rows, p.n_x, p.n_w
     if max_iter is None:
@@ -174,9 +195,11 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
     core = _DualSimplex(p)
     cold_vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
     cold_vstat[K + N :] = BASIC
-    for start in (_warm_start(p, warm), (K + N + np.arange(m), cold_vstat)):
+    starts = ((_warm_start(p, warm), _cached_inverse(p, warm)), ((K + N + np.arange(m), cold_vstat), None))
+    for start, inverse in starts:
         if start is None:
             continue
+        core.start_inverse = inverse
         try:
             status, iters = core.run(*start, max_iter)
         except SingularBasisError:
@@ -186,8 +209,38 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
 
     x = core.v[:K].copy()
     w = core.v[K : K + N].copy()
-    token = BasisToken(core.basis.copy(), core.vstat.copy(), m, K, N)
+    binv = None
+    if status == "optimal":
+        # the run's last step was a refactor, or it started from one of this basis and never pivoted
+        binv = core.Binv
+        binv.setflags(write=False)
+    token = BasisToken(core.basis.copy(), core.vstat.copy(), m, K, N, binv)
     return LpSolution(status, x, w, float(w.sum()), token, core.d.copy(), iters)
+
+
+def crash_start(p: LpProblem) -> BasisToken:
+    """A dual-feasible start for ``p`` whose working matrix is empty, so never singular.
+
+    Each w_i that has rows is basic in its first row and every other row's
+    slack is basic. The duals are then 1 on those key rows and 0 elsewhere,
+    so x_j has reduced cost d_j = sum of the key rows' coefficients of x_j,
+    and it sits at its lower bound when d_j >= 0 and at its upper one
+    otherwise; the other nonbasic columns (a w without rows, a key row's
+    slack) have reduced cost 1 at their lower bound.
+    """
+    m, K, N = p.n_rows, p.n_x, p.n_w
+    w_ids, key_rows = np.unique(p.row_w, return_index=True)
+    basis = K + N + np.arange(m)
+    basis[key_rows] = K + w_ids
+    vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
+    vstat[basis] = BASIC
+    vstat[:K] = np.where(p.row_coef[key_rows].sum(axis=0) < 0, AT_UPPER, AT_LOWER)
+    return BasisToken(basis, vstat, m, K, N)
+
+
+def _cached_inverse(p: LpProblem, warm: BasisToken | None):
+    """The token's basis inverse when ``p`` has the token's rows (none added), else None."""
+    return None if warm is None or warm.n_rows != p.n_rows else warm.binv
 
 
 def _warm_start(p: LpProblem, warm: BasisToken | None):
@@ -233,6 +286,7 @@ class _DualSimplex:
         # rows grouped by their w, for the w columns of A
         self.w_order = np.argsort(p.row_w, kind="stable")
         self.w_start = np.concatenate([[0], np.cumsum(np.bincount(p.row_w, minlength=N))])
+        self.start_inverse = None  # B^-1 of the next run's starting basis, if already known
 
     def _yA(self, y):
         """y @ A over all columns."""
@@ -259,7 +313,12 @@ class _DualSimplex:
         self.sgn = np.where(self.vstat == AT_UPPER, -1.0, 1.0)
         self.sgn[(self.vstat == BASIC) | self.fixed] = 0.0
         self.lb, self.ub = self.l[self.basis], self.u[self.basis]
-        self._refactor()
+        if self.start_inverse is None:
+            self._refactor()
+        else:
+            # a copy: the rank-1 update writes in place, and a sibling shares the token's array
+            self.Binv = self.start_inverse.copy(order="F")
+            self._values()
         degen_run = 0
         bland = False
         since_refactor = 0
@@ -401,11 +460,14 @@ class _DualSimplex:
         if not np.all(np.isfinite(Binv)):
             raise SingularBasisError("non-finite basis inverse")
         self.Binv = Binv
+        self._values()
 
+    def _values(self):
+        """Nonbasic values at their bounds, then the basic values and the duals from ``Binv``."""
         v = np.where(self.vstat == AT_UPPER, self.u, self.l)
-        v[basis] = 0.0
-        self.vb = Binv @ (self.b - self._Av(v))
-        v[basis] = self.vb
+        v[self.basis] = 0.0
+        self.vb = self.Binv @ (self.b - self._Av(v))
+        v[self.basis] = self.vb
         self.v = v
         self._duals()
 

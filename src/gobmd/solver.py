@@ -200,6 +200,7 @@ class SolveReport:
     wall_time: float
     options: dict
     bound_prunes: int = 0
+    lp_iterations: int = 0  # dual-simplex pivots summed over every node LP
     lower_bound: float | None = None  # the objective when optimal, else the least open bound; None if unknown
     incumbent_history: list = field(default_factory=list)
     bound_history: list = field(default_factory=list)
@@ -222,6 +223,7 @@ class SolveReport:
             "gap": _json_num(self.gap),
             "nodes_processed": self.nodes_processed,
             "lp_solves": self.lp_solves,
+            "lp_iterations": self.lp_iterations,
             "bound_prunes": self.bound_prunes,
             "cuts_added": self.cuts_added,
             "pool_size": self.pool_size,
@@ -283,6 +285,7 @@ class _TreeSearch:
         self.upper = np.inf
         self.nodes_processed = 0
         self.lp_solves = 0
+        self.lp_iterations = 0
         self.bound_prunes = 0
         self.lower_bound = -np.inf
         self.incumbent_history: list = []
@@ -325,10 +328,12 @@ class _TreeSearch:
             self.nodes_processed += 1
 
             problem = self._build_problem(xl, xu)
-            warm = node.warm
+            # a root has no parent basis; its crash start skips the cold start's first pivots
+            warm = lpmod.crash_start(problem) if node.warm is None else node.warm
             while True:
                 sol = lpmod.solve_lp(problem, warm)
                 self.lp_solves += 1
+                self.lp_iterations += sol.iterations
                 # a node LP is never infeasible (w is unbounded above), so any
                 # status but optimal is numerical trouble
                 if sol.status != "optimal":
@@ -437,6 +442,7 @@ def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> So
         objective=None if inc is None else inc.upper,
         nodes_processed=search.nodes_processed,
         lp_solves=search.lp_solves,
+        lp_iterations=search.lp_iterations,
         bound_prunes=search.bound_prunes,
         lower_bound=_json_num(search.lower_bound),
         incumbent_history=search.incumbent_history,
@@ -458,7 +464,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
     n_initial = len(pool)
     deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
 
-    nodes = lps = 0
+    nodes = lps = lp_iterations = 0
     lower_bounds: list[float] = []
     best_x = None
     best_f = np.inf
@@ -469,6 +475,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         inner_status = search.run()
         nodes += search.nodes_processed
         lps += search.lp_solves
+        lp_iterations += search.lp_iterations
         if inner_status != "optimal" or search.incumbent is None:
             status = inner_status if inner_status != "optimal" else "node-limit"
             # each restricted MILP relaxes the problem, so the bounds on it are valid here too
@@ -502,6 +509,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         objective=None if best_x is None else best_f,
         nodes_processed=nodes,
         lp_solves=lps,
+        lp_iterations=lp_iterations,
         lower_bound=_json_num(best_f if status == "optimal" else lower),
         outer_lower_bounds=lower_bounds,
     )

@@ -1,6 +1,7 @@
 """LP solver checks: hand oracles, scipy cross-validation, warm starts, certificates."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from gobmd.lp import (
     solve_lp,
 )
 from gobmd.model import GenConfig, generate_instance
-from gobmd.solver import initial_cuts
+from gobmd.solver import initial_cuts, solve_gobmd, solve_incremental
 
 
 def scipy_optimum(p) -> float:
@@ -499,3 +500,122 @@ def test_pivot_path_pinned(case):
         bases.append(sol.basis)
         assert sol.status == "optimal"
         assert (sol.iterations, sol.objective) == (iterations, pytest.approx(objective, rel=1e-12))
+
+
+def recorded_node_lps(monkeypatch):
+    """(problem, warm token) of every node LP in a few solve_gobmd and solve_incremental searches."""
+    calls = []
+    real = lp.solve_lp
+
+    def recording(p, warm=None, max_iter=None):
+        calls.append((p, warm))
+        return real(p, warm, max_iter)
+
+    monkeypatch.setattr(lp, "solve_lp", recording)
+    for trial in range(3):
+        inst = generate_instance(GenConfig(10, 5, 10.0, 4000), trial)
+        solve_gobmd(inst)
+        solve_incremental(inst)
+    monkeypatch.undo()
+    return calls
+
+
+def test_cached_inverse_is_exact(monkeypatch):
+    # A child of a branched node has its parent's rows and basis, so the
+    # parent's inverse is the one a refactor would build: the solve from it
+    # must follow the same pivots to the same bytes.
+    reused = 0
+    for p, warm in recorded_node_lps(monkeypatch):
+        if lp._cached_inverse(p, warm) is None:
+            continue
+        reused += 1
+        a = solve_lp(p, warm)
+        b = solve_lp(p, replace(warm, binv=None))
+        assert a.status == b.status == "optimal"
+        assert a.iterations == b.iterations
+        for got, want in ((a.x, b.x), (a.w, b.w), (a.reduced_costs, b.reduced_costs)):
+            assert got.tobytes() == want.tobytes()
+        assert repr(a.objective) == repr(b.objective)
+    assert reused >= 20
+
+
+def test_cached_inverse_is_dropped_when_rows_are_added(monkeypatch):
+    refactors = 0
+    refactor = lp._DualSimplex._refactor
+
+    def counting(core):
+        nonlocal refactors
+        refactors += 1
+        refactor(core)
+
+    monkeypatch.setattr(lp._DualSimplex, "_refactor", counting)
+    rng = np.random.default_rng(42)
+    for case in range(20):
+        p = pool_problem(rng, case)
+        tok = solve_lp(p).basis
+        assert tok.binv is not None and not tok.binv.flags.writeable
+        extra = [(int(rng.integers(0, p.n_w)), rng.standard_normal(p.n_x), 0.5) for _ in range(3)]
+        p2 = add_rows(p, extra)
+        assert lp._cached_inverse(p2, tok) is None
+        refactors = 0
+        sol = solve_lp(p2, tok)
+        assert refactors >= 1
+        assert sol.status == "optimal" and certificate(p2, sol)["ok"]
+
+
+def test_sibling_children_share_a_token_safely():
+    rng = np.random.default_rng(43)
+    pivoted = 0
+    for case in range(20):
+        p = pool_problem(rng, case)
+        sol = solve_lp(p)
+        tok = sol.basis
+        free = np.flatnonzero(p.x_lower < p.x_upper)
+        if free.size == 0:
+            continue
+        j = int(free[np.argmin(np.abs(sol.x[free]))])
+        children = [fix_variable(p, j, 1.0), fix_variable(p, j, -1.0)]
+        before = tok.binv.tobytes()
+        for order in (children, children[::-1]):
+            for child in order:
+                shared = solve_lp(child, tok)
+                fresh = solve_lp(child, replace(tok, binv=tok.binv.copy(order="F")))
+                assert shared.iterations == fresh.iterations
+                pivoted += shared.iterations
+                for got, want in ((shared.x, fresh.x), (shared.w, fresh.w), (shared.reduced_costs, fresh.reduced_costs)):
+                    assert got.tobytes() == want.tobytes()
+                assert tok.binv.tobytes() == before
+    assert pivoted > 0
+
+
+def test_crash_start_is_dual_feasible_and_solves():
+    rng = np.random.default_rng(44)
+    problems = []
+    for case in range(30):
+        # several rows per w, w without rows, and fixed coordinates
+        problems.append(random_problem(rng, N=int(rng.integers(1, 5)), m=int(rng.integers(1, 30))))
+        problems.append(pool_problem(rng, case))
+    seen = {"at upper": 0, "fixed": 0, "several rows per w": 0, "w without rows": 0}
+    for p in problems:
+        K, N, m = p.n_x, p.n_w, p.n_rows
+        tok = lp.crash_start(p)
+        assert np.all(tok.basis >= K)  # no basic x: the working matrix is empty
+        A = dense_A(p)
+        c = np.concatenate([np.zeros(K), np.ones(N), np.zeros(m)])
+        y = np.linalg.solve(A[:, tok.basis].T, c[tok.basis])
+        d = c - y @ A
+        free = np.concatenate([p.x_upper > p.x_lower, np.ones(N + m, dtype=bool)])
+        assert np.all(d[(tok.vstat == AT_LOWER) & free] >= -1e-12)
+        assert np.all(d[(tok.vstat == AT_UPPER) & free] <= 1e-12)
+        assert np.all(np.abs(d[tok.vstat == BASIC]) <= 1e-12)
+        seen["at upper"] += bool(np.any(tok.vstat[:K] == AT_UPPER))
+        seen["fixed"] += bool(np.any(~free[:K]))
+        seen["several rows per w"] += bool(np.any(np.bincount(p.row_w, minlength=N) > 1))
+        seen["w without rows"] += bool(np.any(np.bincount(p.row_w, minlength=N) == 0))
+        # the dual simplex reaches the optimum from the crash start itself, not by the cold retry
+        status, _ = lp._DualSimplex(p).run(tok.basis, tok.vstat, 50 * (K + N + m))
+        assert status == "optimal"
+        sol = solve_lp(p, tok)
+        assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-7)
+        assert certificate(p, sol)["ok"]
+    assert all(count > 0 for count in seen.values()), seen

@@ -363,6 +363,23 @@ def test_report_json_schema():
     assert doc["bound_history"][0] is None  # root bound is -inf
 
 
+@pytest.mark.parametrize("solve", [solve_gobmd, solve_incremental])
+def test_lp_iterations_sum_the_node_lp_pivots(monkeypatch, solve):
+    real = gobmd.lp.solve_lp
+    iterations = []
+
+    def counting(problem, warm=None, max_iter=None):
+        sol = real(problem, warm, max_iter)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(gobmd.lp, "solve_lp", counting)
+    rep = solve(generate_instance(GenConfig(12, 6, 10.0, 4000), 0))
+    assert len(iterations) == rep.lp_solves > 1
+    assert rep.lp_iterations == sum(iterations) > 0
+    assert rep.to_dict()["lp_iterations"] == rep.lp_iterations
+
+
 def test_options_validation():
     for removed in ("node_selection", "branch_rule", "cut_mode", "pool_scope", "eps_int", "eps_cut", "eps_prune"):
         with pytest.raises(TypeError, match="unexpected keyword"):

@@ -11,7 +11,7 @@ import pytest
 
 from gobmd.baselines import exhaustive_search
 from gobmd.model import GenConfig, RealInstance, generate_instance, quantize_one_bit
-from gobmd.solver import solve_gobmd
+from gobmd.solver import PRUNE_TOL, solve_gobmd, solve_incremental
 
 TRIALS = 25
 SNR_DB = {"30dB": 30.0, "40dB": 40.0, "60dB": 60.0}
@@ -45,3 +45,21 @@ def test_stress_case_matches_oracle(case):
         assert rep.status == "optimal", (case, trial, rep.status)
         worst = max(worst, abs(rep.objective - oracle.objective) / max(1.0, abs(oracle.objective)))
     assert worst <= 1e-12, (case, worst)
+
+
+@pytest.mark.parametrize("n_ant, n_users", [(8, 4), (12, 4), (16, 6)])
+def test_incremental_at_30db_matches_or_brackets_oracle(n_ant, n_users):
+    # The restricted MILPs of solve_incremental start a fresh tree for every
+    # outer pass, so their root LPs run on growing pools at high SNR, where
+    # tangent rows have coefficients near underflow. A node LP that still
+    # fails ends numerical-failure; the statuses then only have to bracket.
+    for trial in range(20):
+        inst = generate_instance(GenConfig(n_ant, n_users, 30.0, 4000), trial)
+        rep = solve_incremental(inst)
+        f = exhaustive_search(inst).objective
+        tol = 1e-12 * max(1.0, abs(f))
+        if rep.status == "optimal":
+            assert abs(rep.objective - f) <= tol, (n_ant, n_users, trial)
+            continue
+        assert rep.lower_bound is not None and rep.lower_bound <= f + PRUNE_TOL, (n_ant, n_users, trial)
+        assert rep.objective is None or rep.objective >= f - tol, (n_ant, n_users, trial)
