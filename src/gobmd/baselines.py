@@ -56,7 +56,7 @@ def zero_forcing(instance: RealInstance) -> np.ndarray:
     return quantize_one_bit(least_squares(instance.H, instance.r))
 
 
-def exhaustive_search(instance: RealInstance, k_cap: int = EXHAUSTIVE_K_CAP) -> OracleResult:
+def exhaustive_search(instance: RealInstance) -> OracleResult:
     """Global minimum of the detection objective over all 2^K sign vectors.
 
     The vectors are taken in lexicographic order (coordinate 0 first, +1
@@ -69,8 +69,8 @@ def exhaustive_search(instance: RealInstance, k_cap: int = EXHAUSTIVE_K_CAP) -> 
     near-tie; the 2^K objectives are never held at once.
     """
     k = instance.k
-    if k > k_cap:
-        raise ValueError(f"exhaustive search requires K <= {k_cap}, got K = {k}")
+    if k > EXHAUSTIVE_K_CAP:
+        raise ValueError(f"exhaustive search requires K <= {EXHAUSTIVE_K_CAP}, got K = {k}")
     ctx = LossContext.from_instance(instance)
     n_codes = 2**k
     shifts = np.arange(k - 1, -1, -1)  # coordinate j is bit k-1-j of the code; set means -1

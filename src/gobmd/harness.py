@@ -296,10 +296,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(records, summary, _metadata(cfg), list(records[0]), list(summary[0]))
 
 
-# The acceptance suite imports these names; every sweep runs through run_experiment.
-run_ber_sweep = run_runtime_sweep = run_ratio_sweep = run_phase_grid = run_experiment
-
-
 # ---------------------------------------------------------------------------
 # Result persistence: CSV with 17-significant-digit doubles, JSON mirroring the
 # same rows plus a metadata block. Writes are atomic (temp file + rename).

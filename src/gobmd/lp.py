@@ -1,11 +1,13 @@
 """Node-LP solver: minimize sum(w) under tangent rows and box bounds.
 
-Each problem has K box-bounded variables x, N variables w bounded below, and
-rows of the form w_i - a^T x >= b. Solved by a bounded-variable dual simplex:
-the all-slack basis is dual feasible (costs are 0 on x and slacks, +1 on w at
-its lower bound), and both row addition and bound tightening preserve dual
+Each problem has K box-bounded variables x, N variables w >= 0, and rows of
+the form w_i - a^T x >= b. Solved by a bounded-variable dual simplex: the
+all-slack basis is dual feasible (costs are 0 on x and slacks, +1 on w at its
+lower bound 0), and both row addition and bound tightening preserve dual
 feasibility of a previously optimal basis, so warm starts re-enter the method
-directly. No big-M, no slack duplication of the box.
+directly. Every run checks that its starting basis is dual feasible; one that
+is not ends the run, and the solve goes on from the cold start. No big-M, no
+slack duplication of the box.
 
 The basis algebra uses the row structure: each row has exactly one w, with
 coefficient +1, and its own slack. A refactor drops the rows whose slack is
@@ -29,13 +31,14 @@ it.
 Warm starts reuse work already done. A solve returns a ``BasisToken``: its
 final basis and, when it ends optimal, the basis inverse, which is then
 exactly the one a refactor of that basis gives. A solve from the token whose
-problem has the token's rows, as a branch child's has (only its bounds
-differ), starts from that inverse and recomputes only the basic values and
-the duals, so the pivot path is the one a refactor would give; with rows
-added it refactors. The inverse costs m^2 floats per token, and in the
-branch-and-bound one token, so one inverse, is shared by the two children of
-a branched node. A search root has no parent to start from; ``crash_start``
-gives it a dual-feasible basis with an empty working matrix.
+problem holds the very ``row_coef`` array the token was solved on, as a
+branch child's does (only its bounds differ), starts from that inverse and
+recomputes only the basic values and the duals, so the pivot path is the one
+a refactor would give; with any other rows it refactors. The inverse costs
+m^2 floats per token, and in the branch-and-bound one token, so one inverse,
+is shared by the two children of a branched node. A search root has no
+parent to start from; ``crash_start`` gives it a dual-feasible basis with an
+empty working matrix.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ DUAL_TOL = 1e-9  # reduced-cost certificate tolerance
 DEGEN_TOL = 1e-12  # dual step below this counts as degenerate
 DEGEN_LIMIT = 40  # consecutive degenerate pivots before Bland's rule engages
 REFACTOR_EVERY = 64
+MAX_ITER_PER_COLUMN = 50  # a run's pivot limit is this times the column count K + N + m
 COND_LIMIT = 1e12  # working matrices with p |W|max |W^-1|max above this count as singular
 
 
@@ -71,8 +75,9 @@ class BasisToken:
     ``basis`` and ``vstat`` give the basic column of each row and the bound
     state of every column. ``binv`` is the read-only m x m basis inverse of an
     optimal solve (m^2 floats; the two children of a branched node share
-    one): a solve of a problem with the token's row count starts from it
-    instead of refactoring. It takes no part in ``==`` or ``repr``.
+    one), and ``row_coef`` the coefficient array it belongs to: a solve of a
+    problem whose ``row_coef`` is that same object starts from ``binv``
+    instead of refactoring. Neither takes part in ``==`` or ``repr``.
     """
 
     basis: np.ndarray
@@ -81,11 +86,12 @@ class BasisToken:
     n_x: int
     n_w: int
     binv: np.ndarray | None = field(default=None, compare=False, repr=False)
+    row_coef: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Immutable node LP: rows encode w_{row_w[t]} - row_coef[t] . x >= row_off[t]."""
+    """Immutable node LP: rows encode w_{row_w[t]} - row_coef[t] . x >= row_off[t], and w >= 0."""
 
     n_x: int
     n_w: int
@@ -94,29 +100,28 @@ class LpProblem:
     row_off: np.ndarray  # (m,)
     x_lower: np.ndarray
     x_upper: np.ndarray
-    w_lower: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return len(self.row_off)
 
 
-def make_problem(n_x, n_w, rows=(), x_lower=None, x_upper=None, w_lower=None) -> LpProblem:
+def make_problem(n_x, n_w, rows=(), x_lower=None, x_upper=None) -> LpProblem:
     """Assemble an LpProblem from (i, a, b) triples or Cut-like objects."""
-    row_w, row_coef, row_off = _stack_rows(n_x, rows)
+    row_w, row_coef, row_off = stack_rows(n_x, rows)
     x_lower = np.full(n_x, -1.0) if x_lower is None else np.asarray(x_lower, dtype=float).copy()
     x_upper = np.full(n_x, 1.0) if x_upper is None else np.asarray(x_upper, dtype=float).copy()
-    w_lower = np.zeros(n_w) if w_lower is None else np.asarray(w_lower, dtype=float).copy()
     if np.any(x_lower > x_upper):
         raise ValueError("x_lower must be <= x_upper elementwise")
     if row_w.size and (row_w.min() < 0 or row_w.max() >= n_w):
         raise ValueError("row references a w index out of range")
-    for a in (row_w, row_coef, row_off, x_lower, x_upper, w_lower):
+    for a in (x_lower, x_upper):
         a.setflags(write=False)
-    return LpProblem(n_x, n_w, row_w, row_coef, row_off, x_lower, x_upper, w_lower)
+    return LpProblem(n_x, n_w, row_w, row_coef, row_off, x_lower, x_upper)
 
 
-def _stack_rows(n_x, rows):
+def stack_rows(n_x, rows):
+    """(row_w, row_coef, row_off) as new read-only arrays, from (i, a, b) triples or Cut-like objects."""
     idx, coef, off = [], [], []
     for r in rows:
         if hasattr(r, "grad"):  # Cut
@@ -129,14 +134,18 @@ def _stack_rows(n_x, rows):
         idx.append(int(i))
         coef.append(a)
         off.append(float(b))
-    if not idx:
-        return (np.zeros(0, dtype=int), np.zeros((0, n_x)), np.zeros(0))
-    return (np.asarray(idx, dtype=int), np.asarray(coef), np.asarray(off))
+    if idx:
+        arrays = (np.asarray(idx, dtype=int), np.asarray(coef), np.asarray(off))
+    else:
+        arrays = (np.zeros(0, dtype=int), np.zeros((0, n_x)), np.zeros(0))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def add_rows(p: LpProblem, new_rows) -> LpProblem:
     """Tightened problem with extra rows appended; optimum can only increase."""
-    ni, nc, no = _stack_rows(p.n_x, new_rows)
+    ni, nc, no = stack_rows(p.n_x, new_rows)
     if ni.size == 0:
         return p
     if ni.min() < 0 or ni.max() >= p.n_w:
@@ -178,20 +187,19 @@ class LpSolution:
     iterations: int
 
 
-def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None = None) -> LpSolution:
+def solve_lp(p: LpProblem, warm: BasisToken | None = None) -> LpSolution:
     """Solve the node LP, optionally warm-starting from a compatible basis token.
 
     Deterministic: fixed tie-breaking by lowest index, Bland's rule after a
-    run of degenerate pivots. The token must come from a problem whose rows
-    are the first rows of ``p``, with any bounds: its basis is then dual
-    feasible for ``p``. One of other columns or more rows is ignored, and a
-    warm start that does not end optimal is retried cold once. A singular
-    basis ends a run with status ``numerical-failure``; ``iterations``
-    counts the last run.
+    run of degenerate pivots. The token should come from a problem whose
+    rows are the first rows of ``p``, with any bounds: its basis is then
+    dual feasible for ``p``. One of other columns or more rows is ignored,
+    and a warm start that is not dual feasible, or does not end optimal, is
+    retried cold once. A singular basis ends a run with status
+    ``numerical-failure``; ``iterations`` counts the last run.
     """
     m, K, N = p.n_rows, p.n_x, p.n_w
-    if max_iter is None:
-        max_iter = 50 * (K + N + m)
+    max_iter = MAX_ITER_PER_COLUMN * (K + N + m)
     core = _DualSimplex(p)
     cold_vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
     cold_vstat[K + N :] = BASIC
@@ -214,7 +222,7 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None, max_iter: int | None 
         # the run's last step was a refactor, or it started from one of this basis and never pivoted
         binv = core.Binv
         binv.setflags(write=False)
-    token = BasisToken(core.basis.copy(), core.vstat.copy(), m, K, N, binv)
+    token = BasisToken(core.basis.copy(), core.vstat.copy(), m, K, N, binv, p.row_coef)
     return LpSolution(status, x, w, float(w.sum()), token, core.d.copy(), iters)
 
 
@@ -239,8 +247,8 @@ def crash_start(p: LpProblem) -> BasisToken:
 
 
 def _cached_inverse(p: LpProblem, warm: BasisToken | None):
-    """The token's basis inverse when ``p`` has the token's rows (none added), else None."""
-    return None if warm is None or warm.n_rows != p.n_rows else warm.binv
+    """The token's basis inverse when ``p`` holds the very row array it was solved on, else None."""
+    return None if warm is None or warm.row_coef is not p.row_coef else warm.binv
 
 
 def _warm_start(p: LpProblem, warm: BasisToken | None):
@@ -280,7 +288,7 @@ class _DualSimplex:
         self.row_w, self.coef, self.b = p.row_w, p.row_coef, p.row_off
         self.c = np.zeros(self.n)
         self.c[K : K + N] = 1.0
-        self.l = np.concatenate([p.x_lower, p.w_lower, np.zeros(m)])
+        self.l = np.concatenate([p.x_lower, np.zeros(N + m)])
         self.u = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
         self.fixed = self.u - self.l <= 0.0  # can never leave their bound
         # rows grouped by their w, for the w columns of A
@@ -319,6 +327,9 @@ class _DualSimplex:
             # a copy: the rank-1 update writes in place, and a sibling shares the token's array
             self.Binv = self.start_inverse.copy(order="F")
             self._values()
+        if np.any(self.sgn * self.d < -DUAL_TOL):
+            # not dual feasible: the method would stop at a point that is not optimal
+            return "numerical-failure", 0
         degen_run = 0
         bland = False
         since_refactor = 0
@@ -490,14 +501,14 @@ def certificate(p: LpProblem, sol: LpSolution) -> dict:
         max(
             np.max(p.x_lower - sol.x, initial=0.0),
             np.max(sol.x - p.x_upper, initial=0.0),
-            np.max(p.w_lower - sol.w, initial=0.0),
+            np.max(-sol.w, initial=0.0),
         )
     )
     d = sol.reduced_costs
     vstat = sol.basis.vstat if sol.basis is not None else None
     dual_violation = 0.0
     if vstat is not None:
-        lower = np.concatenate([p.x_lower, p.w_lower, np.zeros(m)])
+        lower = np.concatenate([p.x_lower, np.zeros(N + m)])
         upper = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
         free = upper - lower > 0
         at_lo = (vstat == AT_LOWER) & free

@@ -47,19 +47,17 @@ class SolverOptions:
 class CutPool:
     """The active tangent set S, deduplicated over (row, anchor) pairs.
 
-    Rows are stored densely in append-only buffers so node LPs can reference
-    them as read-only slices without copying.
+    The cuts are kept once, in ``cuts``. ``lp_rows`` stacks them into
+    read-only arrays only when the pool has changed since its last call, so
+    every node LP between two additions shares the same arrays.
     """
 
     def __init__(self, n_rows: int, n_x: int):
         self.n_rows = n_rows
         self.n_x = n_x
         self.cuts: list[Cut] = []
-        self.index: dict[tuple[int, bytes], int] = {}
-        cap = 64
-        self._w = np.empty(cap, dtype=int)
-        self._coef = np.empty((cap, n_x))
-        self._off = np.empty(cap)
+        self._keys: set[tuple[int, bytes]] = set()
+        self._rows = None
 
     def __len__(self) -> int:
         return len(self.cuts)
@@ -72,61 +70,37 @@ class CutPool:
     def ratio(self) -> float:
         return len(self.cuts) / self.capacity
 
-    def key(self, i: int, point: np.ndarray) -> tuple[int, bytes]:
-        return (i, np.ascontiguousarray(point, dtype=float).tobytes())
-
-    def add(self, cut: Cut) -> int | None:
-        """Append a cut unless its (row, anchor) pair is already present."""
-        k = self.key(cut.row, cut.point)
-        if k in self.index:
-            return None
-        cid = len(self.cuts)
-        if cid == len(self._off):
-            self._grow()
-        self._w[cid] = cut.row
-        self._coef[cid] = cut.grad
-        self._off[cid] = cut.offset
+    def add(self, cut: Cut) -> bool:
+        """Append a cut unless its (row, anchor) pair is already present; True if appended."""
+        key = (cut.row, np.ascontiguousarray(cut.point, dtype=float).tobytes())
+        if key in self._keys:
+            return False
+        self._keys.add(key)
         self.cuts.append(cut)
-        self.index[k] = cid
-        return cid
-
-    def _grow(self):
-        cap = 2 * len(self._off)
-        for name in ("_w", "_coef", "_off"):
-            old = getattr(self, name)
-            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-            new[: len(old)] = old
-            setattr(self, name, new)
+        self._rows = None
+        return True
 
     def lp_rows(self):
-        """(row_w, coef, off) read-only views of the pooled rows for the LP."""
-        n = len(self.cuts)
-        views = []
-        for a in (self._w[:n], self._coef[:n], self._off[:n]):
-            v = a.view()
-            v.setflags(write=False)
-            views.append(v)
-        return tuple(views)
+        """(row_w, coef, off): the pooled rows as read-only arrays, in the order they were added."""
+        if self._rows is None:
+            self._rows = lpmod.stack_rows(self.n_x, self.cuts)
+        return self._rows
 
 
-@dataclass
+@dataclass(eq=False)
 class Node:
-    """One branch-and-bound subproblem: fixed signs, inherited bound, warm state.
+    """One branch-and-bound subproblem: its box, inherited bound, warm state.
 
-    ``x_relax`` is the parent's relaxation minimizer, where this node's
-    projected Newton starts.
+    A sign is fixed where ``xl_j == xu_j``. ``x_relax`` is the parent's
+    relaxation minimizer, where this node's projected Newton starts.
     """
 
-    fixed_pos: tuple[int, ...]
-    fixed_neg: tuple[int, ...]
+    xl: np.ndarray
+    xu: np.ndarray
     bound: float
     warm: lpmod.BasisToken | None
     depth: int
     x_relax: np.ndarray | None = None
-
-    def __post_init__(self):
-        if set(self.fixed_pos) & set(self.fixed_neg):
-            raise ValueError("fixed_pos and fixed_neg must be disjoint")
 
 
 @dataclass
@@ -300,7 +274,8 @@ class _TreeSearch:
 
     def run(self) -> str:
         open_nodes = NodePool()
-        open_nodes.push(Node((), (), -np.inf, None, 0, np.zeros(self.ctx.k)))
+        k = self.ctx.k
+        open_nodes.push(Node(np.full(k, -1.0), np.full(k, 1.0), -np.inf, None, 0, np.zeros(k)))
 
         while len(open_nodes):
             if self.nodes_processed >= self.node_budget:
@@ -311,7 +286,7 @@ class _TreeSearch:
             if node.bound >= self.upper - PRUNE_TOL:
                 continue
             self.bound_history.append(node.bound)
-            xl, xu = self._box(node)
+            xl, xu = node.xl, node.xu
             bound, x_relax = node.bound, node.x_relax
             if self.generate_cuts:
                 cutoff = self.upper - PRUNE_TOL
@@ -350,15 +325,14 @@ class _TreeSearch:
                         self.offer(x_int, sol.w.copy(), f_lp)
                         break
                     g = self.ctx.g_all(x_int)
-                    new_rows = self._add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_int)
-                    if not new_rows:
+                    if not self._add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_int):
                         # case (2.1): feasible for the true losses (or, unreachable
                         # in exact arithmetic, every violated tangent is already
                         # pooled); store the exact objective so pruning never
                         # drifts by CUT_TOL
                         self.offer(x_int, g.copy(), float(g.sum()))
                         break
-                    problem = lpmod.add_rows(problem, new_rows)  # case (2.2)
+                    problem = self._build_problem(xl, xu)  # case (2.2): the new cuts are the last rows
                     warm = sol.basis
                     continue
                 # case (3): branch
@@ -375,16 +349,10 @@ class _TreeSearch:
         return status
 
     def _branch(self, open_nodes, node, j, bound, warm, x_relax):
-        open_nodes.push(Node(node.fixed_pos + (j,), node.fixed_neg, bound, warm, node.depth + 1, x_relax))
-        open_nodes.push(Node(node.fixed_pos, node.fixed_neg + (j,), bound, warm, node.depth + 1, x_relax))
-
-    def _box(self, node: Node):
-        """The node's box: x_j in [-1, 1], collapsed to the fixed sign where one is fixed."""
-        xl = np.full(self.ctx.k, -1.0)
-        xu = np.full(self.ctx.k, 1.0)
-        xl[list(node.fixed_pos)] = 1.0
-        xu[list(node.fixed_neg)] = -1.0
-        return xl, xu
+        for sign in (1.0, -1.0):  # the +1 child is pushed first
+            xl, xu = node.xl.copy(), node.xu.copy()
+            xl[j] = xu[j] = sign
+            open_nodes.push(Node(xl, xu, bound, warm, node.depth + 1, x_relax))
 
     def _build_problem(self, xl, xu) -> lpmod.LpProblem:
         row_w, coef, off = self.pool.lp_rows()
@@ -396,11 +364,11 @@ class _TreeSearch:
             row_off=off,
             x_lower=xl,
             x_upper=xu,
-            w_lower=np.zeros(self.ctx.n),
         )
 
-    def _add_cuts(self, rows, point) -> list[Cut]:
-        return [cut for cut in make_cuts(self.ctx, rows, point) if self.pool.add(cut) is not None]
+    def _add_cuts(self, rows, point) -> int:
+        """Pool the tangents at ``point`` of ``rows``; the number that were new."""
+        return sum(map(self.pool.add, make_cuts(self.ctx, rows, point)))
 
 
 def _report(method, pool, n_initial, t0, opts, **fields) -> SolveReport:
@@ -495,8 +463,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         if viol.size == 0:
             # certificate gap too wide: tighten with any measurable violation
             viol = np.flatnonzero(w_bar < g - 1e-12)
-        added = [cut for cut in make_cuts(ctx, viol, x_bar) if pool.add(cut) is not None]
-        if not added:
+        if not sum(map(pool.add, make_cuts(ctx, viol, x_bar))):
             break  # pool already tight at x_bar; gap is LP-tolerance noise
     return _report(
         "incremental",

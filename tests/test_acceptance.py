@@ -12,7 +12,7 @@ import pytest
 
 from gobmd.baselines import exhaustive_search
 from gobmd.cli import main
-from gobmd.harness import ExperimentConfig, run_ber_sweep, run_phase_grid, strip_wall_time
+from gobmd.harness import ExperimentConfig, run_experiment, strip_wall_time
 from gobmd.loss import LossContext, g_eval, g_grad, inv_mills, log_ncdf, make_cut
 from gobmd.lp import add_rows, certificate, fix_variable, make_problem, solve_lp
 from gobmd.model import GenConfig, generate_instance
@@ -47,7 +47,7 @@ def test_criterion_2_desk_scale_ber_curve():
         seed=2024,
         detectors=["gobmd", "exhaustive"],
     )
-    res = run_ber_sweep(cfg)
+    res = run_experiment(cfg)
     mismatches = 0
     for snr in cfg.snr_db:
         for t in range(cfg.trials):
@@ -240,7 +240,7 @@ def test_criterion_9_phase_grid_corners():
         detectors=["gobmd"],
         ratios=[2, 4, 8, 16],
     )
-    res = run_phase_grid(cfg)
+    res = run_experiment(cfg)
     cell = {
         (row["ratio_n_over_k"], row["snr_db"]): row["mean_ber"]
         for row in res.summary
@@ -268,11 +268,11 @@ def test_criterion_10_determinism(tmp_path):
     ]
     docs = []
     for name in ("a", "b"):
-        out = str(tmp_path / f"{name}.json")
-        rec = str(tmp_path / f"{name}_records.json")
-        assert main(args + ["--out", out, "--records-out", rec]) == 0
-        summary = json.load(open(out))
-        records = json.load(open(rec))
+        out = tmp_path / f"{name}.json"
+        rec = tmp_path / f"{name}_records.json"
+        assert main(args + ["--out", str(out), "--records-out", str(rec)]) == 0
+        summary = json.loads(out.read_text())
+        records = json.loads(rec.read_text())
         docs.append(
             (
                 strip_wall_time(summary["rows"]),

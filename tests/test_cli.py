@@ -227,7 +227,7 @@ def test_ber_command(tmp_path, capsys):
     assert rc == 0
     stdout = capsys.readouterr().out
     assert stdout.startswith("config:")  # resolved-config echo
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "k_users,snr_db,detector,mean_ber,trials"
     assert len(lines) == 1 + 4
 
@@ -257,10 +257,10 @@ def test_ratio_command_with_records(tmp_path):
         ]
     )
     assert rc == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert len(doc["rows"]) == 2
     assert doc["metadata"]["config"]["seed"] == 2
-    recs = json.loads(open(rec).read())
+    recs = json.loads(Path(rec).read_text())
     assert len(recs["rows"]) == 4
 
 
@@ -270,7 +270,7 @@ def test_phase_command(tmp_path):
         ["phase", "--k-users", "2", "--ratios", "2,4", "--snr", "0,10", "--trials", "2", "--seed", "3", "--out", out]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 1 + 4
 
 
@@ -312,7 +312,7 @@ def test_experiment_determinism(tmp_path):
             ["ber", "--n-ant", "6", "--k-users", "2", "--snr", "10", "--trials", "3", "--seed", "9", "--out", out]
         )
         assert rc == 0
-        outs.append(open(out).read())
+        outs.append(Path(out).read_text())
     assert outs[0] == outs[1]  # summary tables carry no wall-time columns
 
 

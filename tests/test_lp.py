@@ -38,7 +38,7 @@ def scipy_optimum(p) -> float:
         A_ub[np.arange(m), K + p.row_w] = -1.0
         b_ub = -p.row_off
     bounds = [(p.x_lower[j], p.x_upper[j]) for j in range(K)]
-    bounds += [(p.w_lower[i], None) for i in range(N)]
+    bounds += [(0.0, None)] * N
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
     assert res.status == 0
     return float(res.fun)
@@ -232,7 +232,7 @@ def test_weak_duality():
         p = random_problem(rng, m=12)
         sol = solve_lp(p)
         x = rng.uniform(p.x_lower, p.x_upper)
-        w = p.w_lower.copy()
+        w = np.zeros(p.n_w)
         for t in range(p.n_rows):
             w[p.row_w[t]] = max(w[p.row_w[t]], p.row_off[t] + p.row_coef[t] @ x)
         assert sol.objective <= float(np.sum(w)) + 1e-8
@@ -249,10 +249,12 @@ def test_determinism():
     assert a.iterations == b.iterations
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
     rng = np.random.default_rng(31)
     p = random_problem(rng, K=5, N=6, m=20)
-    sol = solve_lp(p, max_iter=1)
+    assert solve_lp(p).iterations > 0
+    monkeypatch.setattr(lp, "MAX_ITER_PER_COLUMN", 0)
+    sol = solve_lp(p)
     assert sol.status == "iteration-limit"
 
 
@@ -286,7 +288,7 @@ def dump_problem(p) -> str:
     for j in range(p.n_x):
         lines.append(f"bound x{j}: [{p.x_lower[j]:.17g}, {p.x_upper[j]:.17g}]")
     for i in range(p.n_w):
-        lines.append(f"bound w{i}: [{p.w_lower[i]:.17g}, inf]")
+        lines.append(f"bound w{i}: [0, inf]")
     return "\n".join(lines)
 
 
@@ -507,9 +509,9 @@ def recorded_node_lps(monkeypatch):
     calls = []
     real = lp.solve_lp
 
-    def recording(p, warm=None, max_iter=None):
+    def recording(p, warm=None):
         calls.append((p, warm))
-        return real(p, warm, max_iter)
+        return real(p, warm)
 
     monkeypatch.setattr(lp, "solve_lp", recording)
     for trial in range(3):
@@ -561,6 +563,25 @@ def test_cached_inverse_is_dropped_when_rows_are_added(monkeypatch):
         sol = solve_lp(p2, tok)
         assert refactors >= 1
         assert sol.status == "optimal" and certificate(p2, sol)["ok"]
+
+
+def test_token_from_other_rows_never_gives_a_wrong_optimum():
+    # The same shape as the token's problem but other coefficients: the
+    # token's inverse belongs to other rows, and its basis need not be dual
+    # feasible for these. The solve must still reach the cold optimum.
+    rng = np.random.default_rng(42)
+    fell_back = 0
+    for case in range(20):
+        p = pool_problem(rng, case)
+        tok = solve_lp(p).basis
+        shifted = make_problem(p.n_x, p.n_w, list(zip(p.row_w, p.row_coef + 0.25, p.row_off)), p.x_lower, p.x_upper)
+        assert lp._cached_inverse(shifted, tok) is None
+        warm, cold = solve_lp(shifted, tok), solve_lp(shifted)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
+        assert certificate(shifted, warm)["ok"]
+        fell_back += warm.x.tobytes() == cold.x.tobytes() and warm.iterations == cold.iterations
+    assert fell_back > 0
 
 
 def test_sibling_children_share_a_token_safely():

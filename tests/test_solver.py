@@ -12,7 +12,8 @@ import gobmd.loss
 import gobmd.lp
 import gobmd.solver
 from gobmd.baselines import exhaustive_search, least_squares
-from gobmd.loss import LossContext, box_relaxation, f_obj
+from gobmd.loss import LossContext, box_relaxation, f_obj, make_cuts
+from gobmd.lp import add_rows
 from gobmd.model import GenConfig, RealInstance, generate_instance, quantize_one_bit
 from gobmd.solver import (
     Node,
@@ -53,6 +54,61 @@ def test_initial_pool_ratio():
     assert pool.ratio() == pytest.approx(36 / 9216)
 
 
+def test_pool_keeps_each_row_once():
+    inst = generate_instance(GenConfig(8, 3, 10.0, 4000), 4)
+    ctx = LossContext.from_instance(inst)
+    pool = initial_cuts(inst, ctx)
+    rows = pool.lp_rows()
+    assert not any(a.flags.writeable for a in rows)
+    assert all(a is b for a, b in zip(rows, pool.lp_rows()))  # the same objects until an add
+    anchor = -pool.cuts[0].point  # not the seed anchor
+    assert [pool.add(cut) for cut in make_cuts(ctx, [0, 1], anchor)] == [True, True]
+    grown = pool.lp_rows()
+    assert all(a is not b for a, b in zip(rows, grown)) and len(grown[0]) == len(rows[0]) + 2
+    # a repeated (row, anchor) pair is refused in a later batch, from new Cut objects
+    assert [pool.add(cut) for cut in make_cuts(ctx, [1, 2], anchor.copy())] == [False, True]
+    assert [pool.add(cut) for cut in make_cuts(ctx, [0], pool.cuts[0].point)] == [False]
+    assert len(pool) == ctx.n + 3
+    row_w, coef, off = pool.lp_rows()
+    assert row_w.tolist() == [cut.row for cut in pool.cuts]
+    assert coef.tobytes() == np.array([cut.grad for cut in pool.cuts]).tobytes()
+    assert off.tolist() == [cut.offset for cut in pool.cuts]
+
+
+def test_lazy_cuts_rebuild_the_node_problem_from_the_pool(monkeypatch):
+    pools, calls = [], []
+    real_initial, real_solve = gobmd.solver.initial_cuts, gobmd.lp.solve_lp
+
+    def recording_initial(*args):
+        pools.append(real_initial(*args))
+        return pools[-1]
+
+    def recording_solve(problem, warm=None):
+        calls.append((problem, warm, real_solve(problem, warm)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(gobmd.solver, "initial_cuts", recording_initial)
+    monkeypatch.setattr(gobmd.lp, "solve_lp", recording_solve)
+    rebuilt = 0
+    for snr, trial in ((10.0, 4), (10.0, 5), (30.0, 2)):
+        calls.clear()
+        assert solve_gobmd(generate_instance(GenConfig(8, 3, snr, 4000), trial)).cuts_added > 0
+        # the pool only grows, so a row count names one pool state, and its LPs share its arrays
+        arrays = {}
+        for problem, *_ in calls:
+            assert arrays.setdefault(problem.n_rows, problem.row_coef) is problem.row_coef
+        # a re-solve after a lazy cut: the old problem with the new cuts appended
+        for (old, _, old_sol), (new, warm, _) in zip(calls, calls[1:]):
+            if warm is not old_sol.basis or new.n_rows == old.n_rows:
+                continue
+            want = add_rows(old, pools[-1].cuts[old.n_rows : new.n_rows])
+            for name in ("row_w", "row_coef", "row_off", "x_lower", "x_upper"):
+                got, ref = getattr(new, name), getattr(want, name)
+                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
+            rebuilt += 1
+    assert rebuilt >= 3
+
+
 def test_select_branch_var():
     def at_lp_point(x):  # the restricted MILP's rule: free where |x_j| != 1
         x = np.array(x)
@@ -78,11 +134,12 @@ def test_node_pool_pop_order():
     assert len(pool) == 0
     with pytest.raises(IndexError):
         pool.pop()
-    a = Node((), (), 3.0, None, 0)
-    b = Node((), (), 1.5, None, 1)
-    shallow = Node((), (), 2.2, None, 2)
-    deep_first = Node((), (), 2.2, None, 4)
-    deep_second = Node((0,), (), 2.2, None, 4)
+    box = (np.full(2, -1.0), np.full(2, 1.0))
+    a = Node(*box, 3.0, None, 0)
+    b = Node(*box, 1.5, None, 1)
+    shallow = Node(*box, 2.2, None, 2)
+    deep_first = Node(*box, 2.2, None, 4)
+    deep_second = Node(np.array([1.0, -1.0]), np.array([1.0, 1.0]), 2.2, None, 4)
     for node in (a, shallow, deep_first, b, deep_second):
         pool.push(node)
     assert len(pool) == 5
@@ -90,11 +147,6 @@ def test_node_pool_pop_order():
     order = [pool.pop() for _ in range(5)]
     assert order == [b, deep_first, deep_second, shallow, a]
     assert len(pool) == 0
-
-
-def test_node_disjoint_fixings():
-    with pytest.raises(ValueError):
-        Node((1,), (1,), 0.0, None, 1)
 
 
 def test_gobmd_k1():
@@ -150,13 +202,6 @@ def test_objective_equals_f_at_x_star():
     assert rep.objective == pytest.approx(f_obj(ctx, rep.x_star), abs=1e-9)
 
 
-def _box_of(node, k):
-    lower, upper = np.full(k, -1.0), np.full(k, 1.0)
-    lower[list(node.fixed_pos)] = 1.0
-    upper[list(node.fixed_neg)] = -1.0
-    return lower, upper
-
-
 def test_relaxation_steers_the_search(monkeypatch):
     # each node's relaxation (box, minimizer x_hat, bound, cutoff) in order, and
     # each child pushed, next to the relaxation of the node it was branched from
@@ -197,7 +242,7 @@ def test_relaxation_steers_the_search(monkeypatch):
                 assert after <= f_obj(ctx, rounded)
             # every branch is on the free coordinate of least |x_hat_j|
             for (lower, upper, x, *_), child in branched:
-                c_lower, c_upper = _box_of(child, ctx.k)
+                c_lower, c_upper = child.xl, child.xu
                 (j,) = np.flatnonzero((lower < upper) & (c_lower == c_upper))
                 free = lower < upper
                 assert j == np.argmin(np.where(free, np.abs(x), np.inf)), (snr, trial, j, x)
@@ -286,8 +331,8 @@ def test_time_limit_downgrades_status():
 def test_node_lp_failure_is_a_status(monkeypatch):
     real = gobmd.lp.solve_lp
 
-    def failing(problem, warm=None, max_iter=None):
-        return dataclasses.replace(real(problem, warm, max_iter), status="iteration-limit")
+    def failing(problem, warm=None):
+        return dataclasses.replace(real(problem, warm), status="iteration-limit")
 
     monkeypatch.setattr(gobmd.lp, "solve_lp", failing)
     inst = generate_instance(GenConfig(8, 3, 10.0, 61))
@@ -368,8 +413,8 @@ def test_lp_iterations_sum_the_node_lp_pivots(monkeypatch, solve):
     real = gobmd.lp.solve_lp
     iterations = []
 
-    def counting(problem, warm=None, max_iter=None):
-        sol = real(problem, warm, max_iter)
+    def counting(problem, warm=None):
+        sol = real(problem, warm)
         iterations.append(sol.iterations)
         return sol
 
