@@ -27,28 +27,13 @@ class OracleResult:
 def least_squares(H: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution of H x ~ r.
 
-    Complete orthogonal decomposition: column-pivoted QR with rank detected at
-    RANK_TOL relative to the leading diagonal entry, then an LQ step on the
-    rank-revealed block so rank-deficient systems get the minimum-norm solution
-    deterministically.
+    LAPACK's complete orthogonal factorization (``gelsy``): column-pivoted QR,
+    the rank taken as the largest leading block of R whose estimated condition
+    number stays below 1 / RANK_TOL, then an orthogonal step on that block, so
+    rank-deficient systems get the minimum-norm solution deterministically.
+    Non-finite input raises ``ValueError``.
     """
-    H = np.asarray(H, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(r))):
-        raise ValueError("least_squares requires finite input")
-    q, R, piv = scipy.linalg.qr(H, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros(H.shape[1])
-    rank = int(np.sum(diag > RANK_TOL * diag[0]))
-    R1 = R[:rank, :]  # rank x k, full row rank
-    qr2, L_t = np.linalg.qr(R1.T)  # R1 = L_t.T @ qr2.T
-    rhs = q[:, :rank].T @ r
-    z = scipy.linalg.solve_triangular(L_t.T, rhs, lower=True)
-    x_piv = qr2 @ z  # minimum-norm in the pivoted ordering
-    x = np.empty(H.shape[1])
-    x[piv] = x_piv
-    return x
+    return scipy.linalg.lstsq(H, r, cond=RANK_TOL, lapack_driver="gelsy")[0]
 
 
 def zero_forcing(instance: RealInstance) -> np.ndarray:

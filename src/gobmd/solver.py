@@ -103,13 +103,6 @@ class Node:
     x_relax: np.ndarray | None = None
 
 
-@dataclass
-class Incumbent:
-    x_best: np.ndarray
-    w_best: np.ndarray
-    upper: float
-
-
 class NodePool:
     """Best-bound open-node heap: minimal bound first; ties go to the deeper
     node, then to the earlier push."""
@@ -211,8 +204,8 @@ class SolveReport:
         }
         return d
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _json_num(v):
@@ -222,9 +215,16 @@ def _json_num(v):
 
 
 class _TreeSearch:
-    """One branch-and-bound run over a (possibly growing) cut pool.
+    """One solve: its setup, its branch-and-bound runs, its counters and its report.
 
-    With ``generate_cuts`` the search is the full global algorithm: integral
+    Built once per solve, it takes the clock and builds the loss context, the
+    seed pool (``initial_cuts``) and the deadline. ``run`` searches a fresh
+    tree with a fresh incumbent over the pool as it stands: ``solve_gobmd``
+    runs it once, ``solve_incremental`` once per outer pass. The counters,
+    the histories, ``node_limit`` and the deadline carry across runs, and
+    ``report`` reads the counters and the pool.
+
+    With ``generate_cuts`` a run is the full global algorithm: integral
     LP optima (every |x_j| exactly 1) are checked against the true per-row
     losses, and the tangents violated by more than ``CUT_TOL`` are added in
     place (re-solving the tightened LP); any other LP optimum is branched on.
@@ -236,49 +236,51 @@ class _TreeSearch:
     x_relax are offered as an incumbent, at their true losses, and the prune
     is tested again against the new incumbent; a branch is on the free
     coordinate of least |x_relax_j|; the bound raises the children's, and
-    x_relax is where their relaxations start. Without ``generate_cuts`` the
-    search solves the restricted MILP on the pool exactly, which is what the
+    x_relax is where their relaxations start. Without ``generate_cuts`` a
+    run solves the restricted MILP on the pool exactly, which is what the
     outer incremental loop needs; f bounds nothing there, so no relaxation is
     taken and a branch is on the LP point.
 
     A node LP that ends non-optimal (``solve_lp`` has already retried a
-    failed warm start cold) ends the search with status
+    failed warm start cold) ends the run with status
     ``numerical-failure``; the incumbent and counters are kept. However the
-    search ends, ``lower_bound`` is the least bound of the nodes still open
+    run ends, ``lower_bound`` is the least bound of the nodes still open
     (the node in hand included), capped at the incumbent's value: a valid
     lower bound on the problem searched.
     """
 
-    def __init__(self, ctx, pool, generate_cuts, deadline, node_budget):
-        self.ctx = ctx
-        self.pool = pool
+    def __init__(self, instance: RealInstance, opts: SolverOptions, generate_cuts: bool):
+        self.t0 = time.perf_counter()
+        self.opts = opts
         self.generate_cuts = generate_cuts
-        self.deadline = deadline
-        self.node_budget = node_budget
-        self.incumbent: Incumbent | None = None
-        self.upper = np.inf
-        self.nodes_processed = 0
-        self.lp_solves = 0
-        self.lp_iterations = 0
-        self.bound_prunes = 0
-        self.lower_bound = -np.inf
+        self.ctx = LossContext.from_instance(instance)
+        self.pool = initial_cuts(instance, self.ctx)
+        self.n_initial = len(self.pool)
+        self.deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
+        self.nodes_processed = self.lp_solves = self.lp_iterations = self.bound_prunes = 0
         self.incumbent_history: list = []
         self.bound_history: list = []
 
-    def offer(self, x_int, w, f):
-        """Make x_int, with LP values w and objective f, the incumbent if f improves on it."""
+    def offer(self, x, w):
+        """Make x, with per-row values w, the incumbent if their sum improves on it."""
+        f = float(w.sum())
         if f < self.upper:
-            self.upper = f
-            self.incumbent = Incumbent(x_int, w, f)
+            self.x_best, self.w_best, self.upper = x, w, f
             self.incumbent_history.append((self.nodes_processed, f))
 
-    def run(self) -> str:
+    def run(self, x_start=None) -> str:
+        """Search a fresh tree with a fresh incumbent; ``x_start``, if given,
+        is the first incumbent, at its true losses. Returns the run's status."""
+        self.x_best = self.w_best = None
+        self.upper = np.inf
+        if x_start is not None:
+            self.offer(x_start, self.ctx.g_all(x_start))
         open_nodes = NodePool()
         k = self.ctx.k
         open_nodes.push(Node(np.full(k, -1.0), np.full(k, 1.0), -np.inf, None, 0, np.zeros(k)))
 
         while len(open_nodes):
-            if self.nodes_processed >= self.node_budget:
+            if self.nodes_processed >= self.opts.node_limit:
                 return self._stop("node-limit", open_nodes)
             if self.deadline is not None and time.monotonic() > self.deadline:
                 return self._stop("time-limit", open_nodes)
@@ -294,8 +296,7 @@ class _TreeSearch:
                 if relax < cutoff:
                     # x_relax lies in the box, so its rounding keeps the fixed signs
                     x_round = quantize_one_bit(x_relax)
-                    g = self.ctx.g_all(x_round)
-                    self.offer(x_round, g, float(g.sum()))
+                    self.offer(x_round, self.ctx.g_all(x_round))
                 if relax >= self.upper - PRUNE_TOL:
                     self.bound_prunes += 1
                     continue
@@ -318,19 +319,18 @@ class _TreeSearch:
                     break  # case (1): bound prune
                 x_lp = sol.x
                 if np.all(np.abs(x_lp) == 1.0):
-                    x_int = x_lp.copy()
                     if not self.generate_cuts:
                         # restricted MILP: an integral point is already optimal
                         # for this subtree at the pool's objective
-                        self.offer(x_int, sol.w.copy(), f_lp)
+                        self.offer(x_lp, sol.w)
                         break
-                    g = self.ctx.g_all(x_int)
-                    if not self._add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_int):
+                    g = self.ctx.g_all(x_lp)
+                    if not self.add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_lp):
                         # case (2.1): feasible for the true losses (or, unreachable
                         # in exact arithmetic, every violated tangent is already
                         # pooled); store the exact objective so pruning never
                         # drifts by CUT_TOL
-                        self.offer(x_int, g.copy(), float(g.sum()))
+                        self.offer(x_lp, g)
                         break
                     problem = self._build_problem(xl, xu)  # case (2.2): the new cuts are the last rows
                     warm = sol.basis
@@ -366,52 +366,38 @@ class _TreeSearch:
             x_upper=xu,
         )
 
-    def _add_cuts(self, rows, point) -> int:
+    def add_cuts(self, rows, point) -> int:
         """Pool the tangents at ``point`` of ``rows``; the number that were new."""
         return sum(map(self.pool.add, make_cuts(self.ctx, rows, point)))
 
-
-def _report(method, pool, n_initial, t0, opts, **fields) -> SolveReport:
-    """A SolveReport with the pool counters, the wall time since t0 and the options filled in."""
-    return SolveReport(
-        method=method,
-        cuts_added=len(pool) - n_initial,
-        pool_size=len(pool),
-        pool_capacity=pool.capacity,
-        ratio_s_over_c=pool.ratio(),
-        wall_time=time.perf_counter() - t0,
-        options=opts.to_dict(),
-        **fields,
-    )
+    def report(self, method, status, **fields) -> SolveReport:
+        """A SolveReport with the counters, the pool, the wall time so far and the options filled in."""
+        return SolveReport(
+            method=method,
+            status=status,
+            nodes_processed=self.nodes_processed,
+            lp_solves=self.lp_solves,
+            lp_iterations=self.lp_iterations,
+            bound_prunes=self.bound_prunes,
+            cuts_added=len(self.pool) - self.n_initial,
+            pool_size=len(self.pool),
+            pool_capacity=self.pool.capacity,
+            ratio_s_over_c=self.pool.ratio(),
+            wall_time=time.perf_counter() - self.t0,
+            options=self.opts.to_dict(),
+            **fields,
+        )
 
 
 def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> SolveReport:
     """Branch-and-bound with embedded cut generation; certifies a global minimum."""
-    opts = opts or SolverOptions()
-    t0 = time.perf_counter()
-    ctx = LossContext.from_instance(instance)
-    pool = initial_cuts(instance, ctx)
-    n_initial = len(pool)
-    deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
-    search = _TreeSearch(ctx, pool, generate_cuts=True, deadline=deadline, node_budget=opts.node_limit)
-    x_zf = np.array(pool.cuts[0].point)  # every seed tangent is anchored at the ZF signs
-    g_zf = ctx.g_all(x_zf)
-    search.offer(x_zf, g_zf, float(g_zf.sum()))
-    status = search.run()
-    inc = search.incumbent
-    return _report(
+    search = _TreeSearch(instance, opts or SolverOptions(), generate_cuts=True)
+    status = search.run(x_start=zero_forcing(instance))
+    return search.report(
         "gobmd",
-        pool,
-        n_initial,
-        t0,
-        opts,
-        status=status,
-        x_star=None if inc is None else inc.x_best,
-        objective=None if inc is None else inc.upper,
-        nodes_processed=search.nodes_processed,
-        lp_solves=search.lp_solves,
-        lp_iterations=search.lp_iterations,
-        bound_prunes=search.bound_prunes,
+        status,
+        x_star=search.x_best,
+        objective=search.upper,
         lower_bound=_json_num(search.lower_bound),
         incumbent_history=search.incumbent_history,
         bound_history=search.bound_history,
@@ -424,36 +410,15 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
     Each restricted optimum is a global lower bound; the loop stops once the
     returned point's true objective matches that bound to INCREMENTAL_GAP_TOL,
     which certifies global optimality without trusting CUT_TOL-sized slack.
+    A restricted-MILP run that ends optimal always has an incumbent.
     """
-    opts = opts or SolverOptions()
-    t0 = time.perf_counter()
-    ctx = LossContext.from_instance(instance)
-    pool = initial_cuts(instance, ctx)
-    n_initial = len(pool)
-    deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
-
-    nodes = lps = lp_iterations = 0
+    search = _TreeSearch(instance, opts or SolverOptions(), generate_cuts=False)
     lower_bounds: list[float] = []
-    best_x = None
-    best_f = np.inf
-    lower = -np.inf
-    status = "optimal"
-    while True:
-        search = _TreeSearch(ctx, pool, generate_cuts=False, deadline=deadline, node_budget=opts.node_limit - nodes)
-        inner_status = search.run()
-        nodes += search.nodes_processed
-        lps += search.lp_solves
-        lp_iterations += search.lp_iterations
-        if inner_status != "optimal" or search.incumbent is None:
-            status = inner_status if inner_status != "optimal" else "node-limit"
-            # each restricted MILP relaxes the problem, so the bounds on it are valid here too
-            lower = min(max([search.lower_bound, *lower_bounds]), best_f)
-            break
-        x_bar = search.incumbent.x_best
-        w_bar = search.incumbent.w_best
-        milp_obj = search.incumbent.upper
+    best_x, best_f = None, np.inf
+    while (status := search.run()) == "optimal":
+        x_bar, w_bar, milp_obj = search.x_best, search.w_best, search.upper
         lower_bounds.append(milp_obj)
-        g = ctx.g_all(x_bar)
+        g = search.ctx.g_all(x_bar)
         f_true = float(g.sum())
         if f_true < best_f:
             best_f, best_x = f_true, x_bar
@@ -463,20 +428,15 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         if viol.size == 0:
             # certificate gap too wide: tighten with any measurable violation
             viol = np.flatnonzero(w_bar < g - 1e-12)
-        if not sum(map(pool.add, make_cuts(ctx, viol, x_bar))):
+        if not search.add_cuts(viol, x_bar):
             break  # pool already tight at x_bar; gap is LP-tolerance noise
-    return _report(
+    # each restricted MILP relaxes the problem, so the bounds on it are valid here too
+    lower = best_f if status == "optimal" else min(max([search.lower_bound, *lower_bounds]), best_f)
+    return search.report(
         "incremental",
-        pool,
-        n_initial,
-        t0,
-        opts,
-        status=status,
+        status,
         x_star=best_x,
         objective=None if best_x is None else best_f,
-        nodes_processed=nodes,
-        lp_solves=lps,
-        lp_iterations=lp_iterations,
-        lower_bound=_json_num(best_f if status == "optimal" else lower),
+        lower_bound=_json_num(lower),
         outer_lower_bounds=lower_bounds,
     )

@@ -11,7 +11,7 @@ from scipy.optimize import minimize
 import gobmd.loss
 import gobmd.lp
 import gobmd.solver
-from gobmd.baselines import exhaustive_search, least_squares
+from gobmd.baselines import exhaustive_search, least_squares, zero_forcing
 from gobmd.loss import LossContext, box_relaxation, f_obj, make_cuts
 from gobmd.lp import add_rows
 from gobmd.model import GenConfig, RealInstance, generate_instance, quantize_one_bit
@@ -176,6 +176,7 @@ def test_incremental_matches_gobmd():
         assert b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
         assert b.bound_prunes == 0  # f bounds nothing in the restricted MILP
+        assert b.incumbent_history == b.bound_history == []  # the restricted MILPs' are not reported
 
 
 def test_incremental_lower_bounds_monotone():
@@ -260,11 +261,45 @@ def test_gobmd_matches_oracle_k16_n32_5db():
         assert rep.objective == pytest.approx(oracle.objective, rel=1e-12), trial
 
 
+def test_lp_cut_tree_certifies_without_the_relaxation(monkeypatch):
+    # With a relaxation that bounds nothing, the node LPs and their lazy tangents
+    # alone must certify the optimum; this is the paper's LP-cut search. Case
+    # (2.1), where an integral LP optimum that violates no tangent closes its
+    # node, shows as an offer of the point the node LP just returned.
+    events = []
+    real_solve, real_offer = gobmd.lp.solve_lp, gobmd.solver._TreeSearch.offer
+
+    def recording_solve(problem, warm=None):
+        events.append(("lp", real_solve(problem, warm)))
+        return events[-1][1]
+
+    def recording_offer(search, x, w):
+        events.append(("offer", x))
+        real_offer(search, x, w)
+
+    monkeypatch.setattr(gobmd.solver, "box_relaxation", lambda ctx, lower, upper, x0, cutoff: (np.clip(x0, lower, upper), -np.inf))
+    monkeypatch.setattr(gobmd.lp, "solve_lp", recording_solve)
+    monkeypatch.setattr(gobmd.solver._TreeSearch, "offer", recording_offer)
+    closed = cuts = 0
+    for t in range(24):
+        inst = generate_instance(GenConfig(8, 2 + t % 4, (0.0, 10.0, 30.0)[t % 3], 4000), t)
+        events.clear()
+        rep = solve_gobmd(inst)
+        assert rep.status == "optimal" and rep.bound_prunes == 0, t
+        assert rep.objective == exhaustive_search(inst).objective, t
+        closed += sum(
+            a == "lp" and b == "offer" and np.array_equal(sol.x, x) for (a, sol), (b, x) in zip(events, events[1:])
+        )
+        cuts += rep.cuts_added
+    assert closed > 0 and cuts > 0, (closed, cuts)
+
+
 def test_incumbent_history_non_increasing():
     inst = generate_instance(GenConfig(10, 4, 0.0, 21))
     rep = solve_gobmd(inst)
     objs = [v for _, v in rep.incumbent_history]
     assert objs, "at least one incumbent must be recorded"
+    assert rep.incumbent_history[0] == (0, f_obj(LossContext.from_instance(inst), zero_forcing(inst)))
     assert all(a > b for a, b in zip(objs, objs[1:]))
     assert objs[-1] == rep.objective
 
@@ -314,8 +349,11 @@ def test_node_limited_solves_bracket_the_optimum(solve):
         oracle = exhaustive_search(inst)
         for node_limit in (1, 3, 10, 30):
             rep = solve(inst, SolverOptions(node_limit=node_limit))
+            # for solve_incremental, the limit and the count span all its passes
+            assert rep.nodes_processed <= node_limit
             if rep.status == "node-limit":
                 limited += 1
+                assert rep.nodes_processed == node_limit
                 _assert_brackets(rep, oracle)
                 doc = rep.to_dict()
                 assert (doc["lower_bound"], doc["gap"]) == (rep.lower_bound, rep.gap)
