@@ -9,6 +9,12 @@ directly. Every run checks that its starting basis is dual feasible; one that
 is not ends the run, and the solve goes on from the cold start. No big-M, no
 slack duplication of the box.
 
+A problem is built only by the ``LpProblem`` constructor, which checks its
+shapes, row indices and box and freezes its arrays in place. The module knows
+nothing of tangents: the branch-and-bound's cut pool stacks them into the
+(row_w, row_coef, row_off) arrays, and every node LP between two additions to
+the pool shares those arrays.
+
 The basis algebra uses the row structure: each row has exactly one w, with
 coefficient +1, and its own slack. A refactor drops the rows whose slack is
 basic and eliminates every basic w_i through one key row (its first tight
@@ -43,7 +49,7 @@ empty working matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dger as _dger
@@ -58,10 +64,6 @@ DEGEN_LIMIT = 40  # consecutive degenerate pivots before Bland's rule engages
 REFACTOR_EVERY = 64
 MAX_ITER_PER_COLUMN = 50  # a run's pivot limit is this times the column count K + N + m
 COND_LIMIT = 1e12  # working matrices with p |W|max |W^-1|max above this count as singular
-
-
-class ContradictoryFixing(ValueError):
-    """Raised when a variable is fixed to two different values."""
 
 
 class SingularBasisError(RuntimeError):
@@ -82,7 +84,6 @@ class BasisToken:
 
     basis: np.ndarray
     vstat: np.ndarray
-    n_rows: int
     n_x: int
     n_w: int
     binv: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -91,89 +92,42 @@ class BasisToken:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Immutable node LP: rows encode w_{row_w[t]} - row_coef[t] . x >= row_off[t], and w >= 0."""
+    """Immutable node LP: rows encode w_{row_w[t]} - row_coef[t] . x >= row_off[t], and w >= 0.
+
+    The constructor checks the shapes, that every row names a w in [0, n_w)
+    and that x_lower <= x_upper, then makes the five arrays read-only in
+    place. An array that already has its
+    dtype (int for ``row_w``, float for the rest) stays the same object, so
+    problems built from the same pool arrays share them, and a token's cached
+    inverse can be recognized by its ``row_coef``.
+    """
 
     n_x: int
     n_w: int
     row_w: np.ndarray  # (m,) int, w index per row
     row_coef: np.ndarray  # (m, n_x)
     row_off: np.ndarray  # (m,)
-    x_lower: np.ndarray
-    x_upper: np.ndarray
+    x_lower: np.ndarray  # (n_x,)
+    x_upper: np.ndarray  # (n_x,)
+
+    def __post_init__(self):
+        dtypes = {"row_w": int, "row_coef": float, "row_off": float, "x_lower": float, "x_upper": float}
+        arrays = {name: np.asarray(getattr(self, name), dtype=dtype) for name, dtype in dtypes.items()}
+        m, K = arrays["row_w"].size, self.n_x
+        for (name, a), shape in zip(arrays.items(), ((m,), (m, K), (m,), (K,), (K,))):
+            if a.shape != shape:
+                raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+        if not np.all(arrays["x_lower"] <= arrays["x_upper"]):
+            raise ValueError("x_lower must be <= x_upper elementwise")
+        if m and not (0 <= arrays["row_w"].min() and arrays["row_w"].max() < self.n_w):
+            raise ValueError("row references a w index out of range")
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n_rows(self) -> int:
         return len(self.row_off)
-
-
-def make_problem(n_x, n_w, rows=(), x_lower=None, x_upper=None) -> LpProblem:
-    """Assemble an LpProblem from (i, a, b) triples or Cut-like objects."""
-    row_w, row_coef, row_off = stack_rows(n_x, rows)
-    x_lower = np.full(n_x, -1.0) if x_lower is None else np.asarray(x_lower, dtype=float).copy()
-    x_upper = np.full(n_x, 1.0) if x_upper is None else np.asarray(x_upper, dtype=float).copy()
-    if np.any(x_lower > x_upper):
-        raise ValueError("x_lower must be <= x_upper elementwise")
-    if row_w.size and (row_w.min() < 0 or row_w.max() >= n_w):
-        raise ValueError("row references a w index out of range")
-    for a in (x_lower, x_upper):
-        a.setflags(write=False)
-    return LpProblem(n_x, n_w, row_w, row_coef, row_off, x_lower, x_upper)
-
-
-def stack_rows(n_x, rows):
-    """(row_w, row_coef, row_off) as new read-only arrays, from (i, a, b) triples or Cut-like objects."""
-    idx, coef, off = [], [], []
-    for r in rows:
-        if hasattr(r, "grad"):  # Cut
-            i, a, b = r.row, r.grad, r.offset
-        else:
-            i, a, b = r
-        a = np.asarray(a, dtype=float)
-        if a.shape != (n_x,):
-            raise ValueError(f"row coefficient vector has shape {a.shape}, expected ({n_x},)")
-        idx.append(int(i))
-        coef.append(a)
-        off.append(float(b))
-    if idx:
-        arrays = (np.asarray(idx, dtype=int), np.asarray(coef), np.asarray(off))
-    else:
-        arrays = (np.zeros(0, dtype=int), np.zeros((0, n_x)), np.zeros(0))
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-def add_rows(p: LpProblem, new_rows) -> LpProblem:
-    """Tightened problem with extra rows appended; optimum can only increase."""
-    ni, nc, no = stack_rows(p.n_x, new_rows)
-    if ni.size == 0:
-        return p
-    if ni.min() < 0 or ni.max() >= p.n_w:
-        raise ValueError("row references a w index out of range")
-    row_w = np.concatenate([p.row_w, ni])
-    row_coef = np.vstack([p.row_coef, nc]) if p.n_rows else nc
-    row_off = np.concatenate([p.row_off, no])
-    for a in (row_w, row_coef, row_off):
-        a.setflags(write=False)
-    return replace(p, row_w=row_w, row_coef=row_coef, row_off=row_off)
-
-
-def fix_variable(p: LpProblem, j: int, value: float) -> LpProblem:
-    """Collapse the box at x_j; child optimum can only increase."""
-    if value not in (-1.0, 1.0, -1, 1):
-        raise ValueError("fixing value must be -1 or +1")
-    value = float(value)
-    if not 0 <= j < p.n_x:
-        raise IndexError(f"variable index {j} out of range")
-    if p.x_lower[j] == p.x_upper[j] and p.x_lower[j] != value:
-        raise ContradictoryFixing(f"x[{j}] already fixed to {p.x_lower[j]}, cannot fix to {value}")
-    if not (p.x_lower[j] <= value <= p.x_upper[j]):
-        raise ContradictoryFixing(f"value {value} outside bounds of x[{j}]")
-    xl, xu = p.x_lower.copy(), p.x_upper.copy()
-    xl[j] = xu[j] = value
-    xl.setflags(write=False)
-    xu.setflags(write=False)
-    return replace(p, x_lower=xl, x_upper=xu)
 
 
 @dataclass
@@ -222,7 +176,7 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None) -> LpSolution:
         # the run's last step was a refactor, or it started from one of this basis and never pivoted
         binv = core.Binv
         binv.setflags(write=False)
-    token = BasisToken(core.basis.copy(), core.vstat.copy(), m, K, N, binv, p.row_coef)
+    token = BasisToken(core.basis.copy(), core.vstat.copy(), K, N, binv, p.row_coef)
     return LpSolution(status, x, w, float(w.sum()), token, core.d.copy(), iters)
 
 
@@ -243,7 +197,7 @@ def crash_start(p: LpProblem) -> BasisToken:
     vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
     vstat[basis] = BASIC
     vstat[:K] = np.where(p.row_coef[key_rows].sum(axis=0) < 0, AT_UPPER, AT_LOWER)
-    return BasisToken(basis, vstat, m, K, N)
+    return BasisToken(basis, vstat, K, N)
 
 
 def _cached_inverse(p: LpProblem, warm: BasisToken | None):
@@ -254,12 +208,13 @@ def _cached_inverse(p: LpProblem, warm: BasisToken | None):
 def _warm_start(p: LpProblem, warm: BasisToken | None):
     """(basis, vstat) from a compatible token, the new rows' slacks basic; None without one."""
     m, K, N = p.n_rows, p.n_x, p.n_w
-    if warm is None or warm.n_x != K or warm.n_w != N or warm.n_rows > m:
+    if warm is None or warm.n_x != K or warm.n_w != N or len(warm.basis) > m:
         return None
-    n_old = K + N + warm.n_rows
+    m_old = len(warm.basis)
+    n_old = K + N + m_old
     basis = np.empty(m, dtype=int)
-    basis[: warm.n_rows] = warm.basis
-    basis[warm.n_rows :] = np.arange(n_old, K + N + m)
+    basis[:m_old] = warm.basis
+    basis[m_old:] = np.arange(n_old, K + N + m)
     vstat = np.full(K + N + m, BASIC, dtype=np.int8)
     vstat[:n_old] = warm.vstat
     vstat[basis] = BASIC

@@ -61,6 +61,8 @@ class RealInstance:
         self.r = np.asarray(self.r, dtype=float)
         if self.H.ndim != 2:
             raise ValueError("H must be a 2-D matrix")
+        if self.H.shape[0] == 0:
+            raise ValueError("H must have at least one row")
         if self.r.shape != (self.H.shape[0],):
             raise ValueError("r length must match the row count of H")
         if not np.all(np.isfinite(self.H)):

@@ -81,9 +81,19 @@ class CutPool:
         return True
 
     def lp_rows(self):
-        """(row_w, coef, off): the pooled rows as read-only arrays, in the order they were added."""
+        """(row_w, coef, off): the pooled tangents as read-only LP rows, in the order they were added.
+
+        A tangent w_i >= grad . x + offset is the row w_i - grad . x >= offset.
+        """
         if self._rows is None:
-            self._rows = lpmod.stack_rows(self.n_x, self.cuts)
+            cuts = self.cuts
+            self._rows = (
+                np.array([c.row for c in cuts], dtype=int),
+                np.array([c.grad for c in cuts], dtype=float).reshape(len(cuts), self.n_x),
+                np.array([c.offset for c in cuts], dtype=float),
+            )
+            for a in self._rows:
+                a.setflags(write=False)
         return self._rows
 
 
@@ -91,8 +101,9 @@ class CutPool:
 class Node:
     """One branch-and-bound subproblem: its box, inherited bound, warm state.
 
-    A sign is fixed where ``xl_j == xu_j``. ``x_relax`` is the parent's
-    relaxation minimizer, where this node's projected Newton starts.
+    A sign is fixed where ``xl_j == xu_j``; the node LP freezes the box, so a
+    branch copies it. ``x_relax`` is the parent's relaxation minimizer, where
+    this node's projected Newton starts.
     """
 
     xl: np.ndarray
@@ -355,16 +366,8 @@ class _TreeSearch:
             open_nodes.push(Node(xl, xu, bound, warm, node.depth + 1, x_relax))
 
     def _build_problem(self, xl, xu) -> lpmod.LpProblem:
-        row_w, coef, off = self.pool.lp_rows()
-        return lpmod.LpProblem(
-            n_x=self.ctx.k,
-            n_w=self.ctx.n,
-            row_w=row_w,
-            row_coef=coef,
-            row_off=off,
-            x_lower=xl,
-            x_upper=xu,
-        )
+        """The node LP over the whole pool in the box [xl, xu]; the problem freezes the box."""
+        return lpmod.LpProblem(self.ctx.k, self.ctx.n, *self.pool.lp_rows(), xl, xu)
 
     def add_cuts(self, rows, point) -> int:
         """Pool the tangents at ``point`` of ``rows``; the number that were new."""

@@ -14,9 +14,10 @@ from gobmd.baselines import exhaustive_search
 from gobmd.cli import main
 from gobmd.harness import ExperimentConfig, run_experiment, strip_wall_time
 from gobmd.loss import LossContext, g_eval, g_grad, inv_mills, log_ncdf, make_cut
-from gobmd.lp import add_rows, certificate, fix_variable, make_problem, solve_lp
+from gobmd.lp import LpProblem, certificate, solve_lp
 from gobmd.model import GenConfig, generate_instance
 from gobmd.solver import SolverOptions, initial_cuts, solve_gobmd, solve_incremental
+from test_lp import add_rows
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -204,11 +205,11 @@ def test_criterion_8_lp_correctness():
         for _ in range(n_extra):
             anchor = np.where(rng.random(ctx.k) < 0.5, 1.0, -1.0)
             pool.add(make_cut(ctx, int(rng.integers(0, ctx.n)), anchor))
-        row_w, coef, off = pool.lp_rows()
-        p = make_problem(ctx.k, ctx.n, list(zip(row_w, coef, off)))
+        xl, xu = np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)
         for j in range(ctx.k):
             if rng.random() < 0.2:
-                p = fix_variable(p, j, float(rng.choice([-1.0, 1.0])))
+                xl[j] = xu[j] = rng.choice([-1.0, 1.0])
+        p = LpProblem(ctx.k, ctx.n, *pool.lp_rows(), xl, xu)
         base = solve_lp(p)
         assert base.status == "optimal"
         cert = certificate(p, base)
@@ -216,7 +217,7 @@ def test_criterion_8_lp_correctness():
         worst_dual = max(worst_dual, cert["dual_violation"])
         extra_anchor = np.where(rng.random(ctx.k) < 0.5, 1.0, -1.0)
         extra = [make_cut(ctx, int(rng.integers(0, ctx.n)), extra_anchor) for _ in range(3)]
-        p2 = add_rows(p, extra)
+        p2 = add_rows(p, [(c.row, c.grad, c.offset) for c in extra])
         warm = solve_lp(p2, warm=base.basis)
         cold = solve_lp(p2)
         worst_warm = max(worst_warm, abs(warm.objective - cold.objective))

@@ -23,10 +23,12 @@ def _gen(tmp_path, name="inst.json", n_ant=6, k=2, snr=10.0, seed=3):
 def test_gen_and_solve(tmp_path, capsys):
     inst = _gen(tmp_path)
     capsys.readouterr()
-    rc = main(["solve", "--in", inst, "--detector", "gobmd"])
+    report = tmp_path / "report.json"
+    rc = main(["solve", "--in", inst, "--detector", "gobmd", "--out", str(report)])
     out = capsys.readouterr().out
     doc = json.loads(out[out.index("{") :])
     assert rc == 0
+    assert report.read_text() == out[out.index("{") :]  # --out writes the report printed
     assert doc["status"] == "optimal"
     assert doc["method"] == "gobmd"
     assert doc["options"]["node_limit"] == 1_000_000  # resolved config echo
@@ -124,6 +126,7 @@ def test_invalid_limits_exit_1(tmp_path, capsys):
         ("trials", "5", "trials"),
         ("workers", 1.5, "workers"),
         ("k_users", [2.7], "k_users"),
+        ("k_users", "2,x", "k_users"),
         ("seed", True, "seed"),
         ("seed", -1, "seed"),
         ("format", "xml", "format"),
@@ -137,6 +140,10 @@ def test_invalid_limits_exit_1(tmp_path, capsys):
         captured = capsys.readouterr()
         assert f"error: {name} must" in captured.err, (key, value, captured.err)
         assert "config:" not in captured.out and not out.exists()
+    assert main(["ber", "--n-ant", "6", "--k-users", "2,x", "--trials", "1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: k_users must hold comma-separated ints, got '2,x'" in captured.err
+    assert "config:" not in captured.out and not out.exists()
     # a missing output directory is refused before the sweep runs
     missing = tmp_path / "missing" / "o.csv"
     assert main(["ber", "--n-ant", "6", "--k-users", "2", "--trials", "1", "--out", str(missing)]) == 1
@@ -302,6 +309,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"nonsense": 1}))
     assert main(["ber", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+    # a file that cannot be read, is not JSON, or holds no object
+    for text, message in ((None, "cannot read config file"), ("{ not json", "cannot read config file"),
+                          ("[1, 2]", "must hold a JSON object")):
+        path = tmp_path / ("absent.json" if text is None else "bad.json")
+        if text is not None:
+            path.write_text(text)
+        assert main(["ber", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1, text
+        captured = capsys.readouterr()
+        assert message in captured.err, (text, captured.err)
+        assert "config:" not in captured.out and not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_determinism(tmp_path):

@@ -46,6 +46,8 @@ def test_config_validation():
         small_cfg(experiment="what")
     with pytest.raises(ValueError):
         small_cfg(n_antennas=None)
+    with pytest.raises(ValueError, match="phase-grid uses a single k_users value as the base"):
+        small_cfg(experiment="phase-grid", n_antennas=None, ratios=[2], k_users=[2, 3])
     # a repeated axis value would run its points twice and merge them into one row
     for repeated in (
         dict(k_users=[2, 2]),

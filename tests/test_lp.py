@@ -10,19 +10,7 @@ from scipy.optimize import linprog
 
 from gobmd import lp
 from gobmd.loss import LossContext, make_cut
-from gobmd.lp import (
-    AT_LOWER,
-    AT_UPPER,
-    BASIC,
-    BasisToken,
-    ContradictoryFixing,
-    SingularBasisError,
-    add_rows,
-    certificate,
-    fix_variable,
-    make_problem,
-    solve_lp,
-)
+from gobmd.lp import AT_LOWER, AT_UPPER, BASIC, BasisToken, LpProblem, SingularBasisError, certificate, solve_lp
 from gobmd.model import GenConfig, generate_instance
 from gobmd.solver import initial_cuts, solve_gobmd, solve_incremental
 
@@ -44,6 +32,32 @@ def scipy_optimum(p) -> float:
     return float(res.fun)
 
 
+def add_rows(p, rows):
+    """``p`` with the (i, a, b) rows w_i - a . x >= b appended."""
+    i, a, b = zip(*rows)
+    return replace(
+        p,
+        row_w=np.concatenate([p.row_w, i]),
+        row_coef=np.vstack([p.row_coef, a]),
+        row_off=np.concatenate([p.row_off, b]),
+    )
+
+
+def problem(n_x, n_w, rows=(), x_lower=None, x_upper=None):
+    """The problem with the (i, a, b) rows, in the box [-1, 1]^n_x unless another is given."""
+    x_lower = np.full(n_x, -1.0) if x_lower is None else x_lower
+    x_upper = np.full(n_x, 1.0) if x_upper is None else x_upper
+    p = LpProblem(n_x, n_w, np.zeros(0, dtype=int), np.zeros((0, n_x)), np.zeros(0), x_lower, x_upper)
+    return add_rows(p, rows) if rows else p
+
+
+def fix(p, j, value):
+    """``p`` with x_j fixed at ``value``."""
+    xl, xu = p.x_lower.copy(), p.x_upper.copy()
+    xl[j] = xu[j] = value
+    return replace(p, x_lower=xl, x_upper=xu)
+
+
 def random_problem(rng, K=None, N=None, m=None):
     K = K or rng.integers(1, 8)
     N = N or rng.integers(1, 10)
@@ -52,17 +66,47 @@ def random_problem(rng, K=None, N=None, m=None):
         (int(rng.integers(0, N)), rng.standard_normal(K), float(rng.standard_normal() * 0.5))
         for _ in range(m)
     ]
-    p = make_problem(K, N, rows)
+    xl, xu = np.full(K, -1.0), np.full(K, 1.0)
     for j in range(K):
-        u = rng.uniform()
-        if u < 0.15:
-            p = fix_variable(p, j, float(rng.choice([-1.0, 1.0])))
-    return p
+        if rng.uniform() < 0.15:
+            xl[j] = xu[j] = rng.choice([-1.0, 1.0])
+    return problem(K, N, rows, xl, xu)
+
+
+def test_problem_checks_and_freezes_its_arrays():
+    arrays = dict(
+        row_w=np.array([0, 1]),
+        row_coef=np.array([[0.5, -1.0], [1.0, 0.25]]),
+        row_off=np.array([0.3, 0.7]),
+        x_lower=np.full(2, -1.0),
+        x_upper=np.full(2, 1.0),
+    )
+    bad = (
+        ("x_lower", np.array([-1.0, 1.5]), "x_lower must be <= x_upper"),
+        ("row_w", np.array([0, 2]), "out of range"),
+        ("row_w", np.array([-1, 0]), "out of range"),
+        ("row_coef", np.ones((2, 3)), "row_coef has shape"),
+        ("row_coef", np.ones(2), "row_coef has shape"),
+        ("row_off", np.ones(3), "row_off has shape"),
+        ("x_upper", np.ones(3), "x_upper has shape"),
+    )
+    for name, value, message in bad:
+        with pytest.raises(ValueError, match=message):
+            LpProblem(2, 2, **{**arrays, name: value})
+        assert all(a.flags.writeable for a in (value, *arrays.values()))  # a refused problem freezes nothing
+    p = LpProblem(2, 2, **arrays)
+    for name, a in arrays.items():
+        # kept as the very object, frozen in place: the cached inverse is matched by identity
+        assert getattr(p, name) is a and not a.flags.writeable, name
+    q = LpProblem(2, 2, [0, 1], [[0.5, -1.0], [1.0, 0.25]], [0.3, 0.7], [-1, -1], [1, 1])
+    for name in arrays:
+        got, want = getattr(q, name), getattr(p, name)
+        assert (got.dtype, got.tobytes(), got.flags.writeable) == (want.dtype, want.tobytes(), False), name
 
 
 def test_single_tangent_example():
     # minimize w subject to w >= 0.5 + 0.1 (x - 1), i.e. w - 0.1 x >= 0.4
-    p = make_problem(1, 1, [(0, np.array([0.1]), 0.4)])
+    p = problem(1, 1, [(0, np.array([0.1]), 0.4)])
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(-1.0, abs=1e-9)
@@ -71,7 +115,7 @@ def test_single_tangent_example():
 
 
 def test_no_rows_objective_zero():
-    p = make_problem(3, 4)
+    p = problem(3, 4)
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == 0.0
@@ -81,7 +125,7 @@ def test_no_rows_objective_zero():
 def test_two_crossing_tangents():
     # w >= x + 0.5 and w >= -x + 0.3 cross at x = -0.1, w = 0.4; breakpoint
     # enumeration over {-1, -0.1, 1} gives 1.3, 0.4, 1.5
-    p = make_problem(1, 1, [(0, np.array([1.0]), 0.5), (0, np.array([-1.0]), 0.3)])
+    p = problem(1, 1, [(0, np.array([1.0]), 0.5), (0, np.array([-1.0]), 0.3)])
     sol = solve_lp(p)
     assert sol.objective == pytest.approx(0.4, abs=1e-9)
     assert sol.x[0] == pytest.approx(-0.1, abs=1e-8)
@@ -123,15 +167,6 @@ def test_add_rows_monotone_and_warm():
         assert certificate(p2, warm_sol)["ok"]
 
 
-def test_add_zero_rows_identity():
-    rng = np.random.default_rng(23)
-    p = random_problem(rng, m=5)
-    assert add_rows(p, []) is p
-    a = solve_lp(p)
-    b = solve_lp(add_rows(p, []))
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.w, b.w)
-
-
 def test_add_implied_row_keeps_objective():
     rng = np.random.default_rng(24)
     p = random_problem(rng, m=8)
@@ -162,7 +197,7 @@ def test_violated_row_resolves_feasible():
         pf = p
         for j in range(p.n_x):
             if pf.x_lower[j] != pf.x_upper[j]:
-                pf = fix_variable(pf, j, 1.0)
+                pf = fix(pf, j, 1.0)
         solf = solve_lp(pf)
         af = np.zeros(p.n_x)
         pf2 = add_rows(pf, [(i, af, float(solf.w[i]) + 0.5)])
@@ -178,7 +213,7 @@ def test_fix_variable_monotone_and_warm():
         j = int(rng.integers(0, p.n_x))
         if p.x_lower[j] == p.x_upper[j]:
             continue
-        p2 = fix_variable(p, j, float(rng.choice([-1.0, 1.0])))
+        p2 = fix(p, j, rng.choice([-1.0, 1.0]))
         warm_sol = solve_lp(p2, warm=sol.basis)
         cold_sol = solve_lp(p2)
         assert warm_sol.objective == pytest.approx(cold_sol.objective, abs=1e-8)
@@ -195,7 +230,7 @@ def test_fix_all_variables_closed_form():
             if pf.x_lower[j] == pf.x_upper[j]:
                 x[j] = pf.x_lower[j]
             else:
-                pf = fix_variable(pf, j, x[j])
+                pf = fix(pf, j, x[j])
         expected = 0.0
         for i in range(p.n_w):
             vals = [p.row_off[t] + p.row_coef[t] @ x for t in range(p.n_rows) if p.row_w[t] == i]
@@ -210,20 +245,9 @@ def test_fix_at_parent_optimum_keeps_objective():
     sol = solve_lp(p)
     j = 0
     if abs(sol.x[j]) == 1.0 and p.x_lower[j] != p.x_upper[j]:
-        p2 = fix_variable(p, j, float(sol.x[j]))
+        p2 = fix(p, j, sol.x[j])
         sol2 = solve_lp(p2)
         assert sol2.objective == pytest.approx(sol.objective, abs=1e-9)
-
-
-def test_fix_variable_bounds_and_errors():
-    p = make_problem(2, 1, [(0, np.array([1.0, 0.0]), 0.0)])
-    p2 = fix_variable(p, 0, 1.0)
-    assert p2.x_lower[0] == p2.x_upper[0] == 1.0
-    fix_variable(p2, 0, 1.0)  # refixing to the same value is fine
-    with pytest.raises(ContradictoryFixing):
-        fix_variable(p2, 0, -1.0)
-    with pytest.raises(ValueError):
-        fix_variable(p, 0, 0.5)
 
 
 def test_weak_duality():
@@ -279,25 +303,6 @@ def test_incompatible_warm_token_falls_back():
     assert sol2.objective == pytest.approx(scipy_optimum(p2), abs=1e-7)
 
 
-def dump_problem(p) -> str:
-    """Plain-text dump of rows and bounds for external cross-checking."""
-    lines = [f"lp n_x={p.n_x} n_w={p.n_w} rows={p.n_rows}", "minimize sum(w)"]
-    for t in range(p.n_rows):
-        terms = " ".join(f"{-v:+.17g}*x{j}" for j, v in enumerate(p.row_coef[t]) if v != 0.0)
-        lines.append(f"row {t}: w{p.row_w[t]} {terms} >= {p.row_off[t]:.17g}")
-    for j in range(p.n_x):
-        lines.append(f"bound x{j}: [{p.x_lower[j]:.17g}, {p.x_upper[j]:.17g}]")
-    for i in range(p.n_w):
-        lines.append(f"bound w{i}: [0, inf]")
-    return "\n".join(lines)
-
-
-def test_dump_problem_mentions_structure():
-    p = make_problem(2, 2, [(1, np.array([0.5, -0.25]), 1.5)])
-    text = dump_problem(p)
-    assert "rows=1" in text and "w1" in text and "bound x0" in text
-
-
 def pool_problem(rng, case):
     """A criterion-8-style node LP: seed pool plus random tangents, some x fixed."""
     inst = generate_instance(GenConfig(6, int(rng.integers(1, 6)), 10.0, 8_000 + case))
@@ -306,12 +311,11 @@ def pool_problem(rng, case):
     for _ in range(int(rng.integers(0, 120))):
         anchor = np.where(rng.random(ctx.k) < 0.5, 1.0, -1.0)
         pool.add(make_cut(ctx, int(rng.integers(0, ctx.n)), anchor))
-    row_w, coef, off = pool.lp_rows()
-    p = make_problem(ctx.k, ctx.n, list(zip(row_w, coef, off)))
+    xl, xu = np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)
     for j in range(ctx.k):
         if rng.random() < 0.2:
-            p = fix_variable(p, j, float(rng.choice([-1.0, 1.0])))
-    return p
+            xl[j] = xu[j] = rng.choice([-1.0, 1.0])
+    return LpProblem(ctx.k, ctx.n, *pool.lp_rows(), xl, xu)
 
 
 def dense_A(p):
@@ -411,7 +415,7 @@ def test_structured_products_match_dense(monkeypatch):
             assert solve_lp(add_rows(p, extra), warm=sol.basis).status == "optimal"
             free = np.flatnonzero(p.x_lower < p.x_upper)
             if free.size:
-                child = fix_variable(p, int(free[0]), float(rng.choice([-1.0, 1.0])))
+                child = fix(p, int(free[0]), rng.choice([-1.0, 1.0]))
                 assert solve_lp(child, warm=sol.basis).status == "optimal"
     assert all(count > 0 for count in seen.values()), seen
 
@@ -425,21 +429,21 @@ def test_singular_cold_restart_is_a_status(monkeypatch):
         refactor(core)
 
     monkeypatch.setattr(lp._DualSimplex, "_refactor", singular_with_basic_x)
-    p = make_problem(1, 1, [(0, np.array([1.0]), 0.5), (0, np.array([-1.0]), 0.3)])
+    p = problem(1, 1, [(0, np.array([1.0]), 0.5), (0, np.array([-1.0]), 0.3)])
     assert solve_lp(p).status == "numerical-failure"
 
 
 def test_warm_basis_with_keyless_w_restarts_cold():
     # w0 basic while the slack of its only row is basic too: column w0 lies in
     # the span of the basic slacks, so the basis is singular
-    p = make_problem(2, 2, [(0, np.array([0.5, -1.0]), 0.3), (1, np.array([1.0, 0.25]), 0.7)])
+    p = problem(2, 2, [(0, np.array([0.5, -1.0]), 0.3), (1, np.array([1.0, 0.25]), 0.7)])
     K, N, m = 2, 2, 2
     basis = np.array([K + 0, K + N + 0])
     vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
     vstat[basis] = BASIC
     with pytest.raises(SingularBasisError):
         lp._DualSimplex(p).run(basis, vstat, 100)
-    sol = solve_lp(p, warm=BasisToken(basis, vstat, m, K, N))
+    sol = solve_lp(p, warm=BasisToken(basis, vstat, K, N))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-9)
     assert certificate(p, sol)["ok"]
@@ -455,7 +459,7 @@ def test_tiny_pivot_row_entries_are_not_pivots():
     ctx = LossContext.from_instance(inst)
     row_w, coef, off = initial_cuts(inst, ctx).lp_rows()
     assert 0.0 < np.abs(coef[0]).max() < 4e-9
-    p = fix_variable(make_problem(ctx.k, ctx.n, list(zip(row_w, coef, off))), 0, -1.0)
+    p = fix(LpProblem(ctx.k, ctx.n, row_w, coef, off, np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)), 0, -1.0)
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-8)
@@ -497,7 +501,7 @@ def test_pivot_path_pinned(case):
         xl, xu = np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)
         xl[fixed_pos] = 1.0
         xu[fixed_neg] = -1.0
-        p = make_problem(ctx.k, ctx.n, list(zip(row_w[:m], coef[:m], off[:m])), xl, xu)
+        p = LpProblem(ctx.k, ctx.n, row_w[:m], coef[:m], off[:m], xl, xu)
         sol = solve_lp(p, None if warm is None else bases[warm])
         bases.append(sol.basis)
         assert sol.status == "optimal"
@@ -574,7 +578,7 @@ def test_token_from_other_rows_never_gives_a_wrong_optimum():
     for case in range(20):
         p = pool_problem(rng, case)
         tok = solve_lp(p).basis
-        shifted = make_problem(p.n_x, p.n_w, list(zip(p.row_w, p.row_coef + 0.25, p.row_off)), p.x_lower, p.x_upper)
+        shifted = replace(p, row_coef=p.row_coef + 0.25)
         assert lp._cached_inverse(shifted, tok) is None
         warm, cold = solve_lp(shifted, tok), solve_lp(shifted)
         assert warm.status == cold.status == "optimal"
@@ -595,7 +599,7 @@ def test_sibling_children_share_a_token_safely():
         if free.size == 0:
             continue
         j = int(free[np.argmin(np.abs(sol.x[free]))])
-        children = [fix_variable(p, j, 1.0), fix_variable(p, j, -1.0)]
+        children = [fix(p, j, 1.0), fix(p, j, -1.0)]
         before = tok.binv.tobytes()
         for order in (children, children[::-1]):
             for child in order:

@@ -144,6 +144,17 @@ def test_instance_validation():
         RealInstance(H=H, r=np.ones(3), sigma=0.0)
     with pytest.raises(ValueError):
         RealInstance(H=H, r=np.ones(3), sigma=1.0, x_true=np.ones(2))
+    cases = (
+        (dict(H=np.ones(3), r=np.ones(3)), "H must be a 2-D matrix"),
+        # N = 0 would make the pool capacity N * 2^K zero
+        (dict(H=np.zeros((0, 2)), r=np.zeros(0)), "H must have at least one row"),
+        (dict(H=H, r=np.ones(2)), "r length must match"),
+        (dict(H=np.full((3, 3), np.nan), r=np.ones(3)), "H must be finite"),
+        (dict(H=H, r=np.ones(3), x_true=np.array([1.0, 0.0, -1.0])), "x_true entries must be -1 or \\+1"),
+    )
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            RealInstance(sigma=1.0, **kwargs)
 
 
 def test_instance_roundtrip_bit_exact(tmp_path):
@@ -171,3 +182,15 @@ def test_instance_parse_errors(tmp_path):
     p.write_text('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0, 2.0], "r": [1, 2]}')
     with pytest.raises(InstanceFormatError, match="r entries"):
         load_instance(str(p))
+    cases = (
+        ("[1, 2]", "expected a JSON object at top level"),
+        ('{"n": 0, "k": 1, "sigma": 1.0, "H": [], "r": []}', "'n' and 'k' must be positive integers"),
+        ('{"n": 2, "k": 1.5, "sigma": 1.0, "H": [1.0, 2.0], "r": [1, -1]}', "'n' and 'k' must be positive integers"),
+        ('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0, 2.0], "r": [1]}', "'r' has 1 entries, expected n = 2"),
+        ('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0, 2.0], "r": [1, -1], "x_true": [1, 1]}',
+         "'x_true' has 2 entries, expected k = 1"),
+    )
+    for text, message in cases:
+        p.write_text(text)
+        with pytest.raises(InstanceFormatError, match=message):
+            load_instance(str(p))

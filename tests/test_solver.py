@@ -13,7 +13,6 @@ import gobmd.lp
 import gobmd.solver
 from gobmd.baselines import exhaustive_search, least_squares, zero_forcing
 from gobmd.loss import LossContext, box_relaxation, f_obj, make_cuts
-from gobmd.lp import add_rows
 from gobmd.model import GenConfig, RealInstance, generate_instance, quantize_one_bit
 from gobmd.solver import (
     Node,
@@ -24,6 +23,7 @@ from gobmd.solver import (
     solve_gobmd,
     solve_incremental,
 )
+from test_lp import add_rows
 from test_stress import stressed
 
 NEG_LOG_NCDF_2 = 0.023012909328963488465
@@ -101,7 +101,7 @@ def test_lazy_cuts_rebuild_the_node_problem_from_the_pool(monkeypatch):
         for (old, _, old_sol), (new, warm, _) in zip(calls, calls[1:]):
             if warm is not old_sol.basis or new.n_rows == old.n_rows:
                 continue
-            want = add_rows(old, pools[-1].cuts[old.n_rows : new.n_rows])
+            want = add_rows(old, [(c.row, c.grad, c.offset) for c in pools[-1].cuts[old.n_rows : new.n_rows]])
             for name in ("row_w", "row_coef", "row_off", "x_lower", "x_upper"):
                 got, ref = getattr(new, name), getattr(want, name)
                 assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name
