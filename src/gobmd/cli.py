@@ -11,7 +11,7 @@ import sys
 from typing import NamedTuple
 
 from .harness import DETECTORS, FORMATS, SWEEPS, ExperimentConfig, run_experiment, write_results
-from .model import GenConfig, InstanceFormatError, generate_instance, load_instance, save_instance
+from .model import GenConfig, InstanceFormatError, generate_instance, load_instance, save_instance, write_atomically
 from .solver import SolverOptions
 
 EXIT_OK = 0
@@ -163,12 +163,11 @@ def _cmd_experiment(args) -> int:
     result = run_experiment(cfg)
     fmt = resolved["format"]
     out = resolved["out"]
-    write_results(result.summary, out, fmt, result.metadata, columns=result.summary_columns)
+    write_results(result.summary, out, fmt, result.metadata)
     if resolved["records_out"]:
-        write_results(result.records, resolved["records_out"], fmt, result.metadata, columns=result.record_columns)
+        write_results(result.records, resolved["records_out"], fmt, result.metadata)
     headline = "; ".join(
-        " ".join(f"{k}={row[k]}" for k in result.summary_columns if row.get(k) is not None)
-        for row in result.summary[:8]
+        " ".join(f"{k}={v}" for k, v in row.items() if v is not None) for row in result.summary[:8]
     )
     print(f"wrote {out} ({len(result.summary)} summary rows, {len(result.records)} records)")
     if headline:
@@ -182,8 +181,7 @@ def _cmd_solve(args) -> int:
     text = json.dumps(doc, indent=2)
     print(text)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        write_atomically(args.out, text + "\n")
     if doc["status"] in ("node-limit", "time-limit", "numerical-failure"):
         return EXIT_LIMIT
     return EXIT_OK

@@ -9,6 +9,7 @@ metadata block sufficient to re-run the experiment byte-identically.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -21,11 +22,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .baselines import exhaustive_search, zero_forcing
 from .loss import LossContext, f_obj
-from .model import RNG_IDENTITY, GenConfig, RealInstance, bit_error_rate, format_double, generate_instance
+from .model import (
+    RNG_IDENTITY, GenConfig, RealInstance, bit_error_rate, format_double, generate_instance, write_atomically,
+)
 from .solver import SolverOptions, solve_gobmd, solve_incremental
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -90,19 +94,12 @@ class ExperimentConfig:
         if sweep.single_snr and len(self.snr_db) != 1:
             raise ValueError(f"{self.experiment} uses a single SNR value")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["options"] = self.options.to_dict()
-        return d
-
 
 @dataclass
 class ExperimentResult:
     records: list[dict]
     summary: list[dict]
     metadata: dict
-    record_columns: list[str]
-    summary_columns: list[str]
 
 
 def _exhaustive_report(instance: RealInstance, opts: SolverOptions) -> dict:
@@ -210,7 +207,7 @@ def _worker_blas_env(workers: int) -> dict:
 
 def _metadata(cfg: ExperimentConfig) -> dict:
     return {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "rng": RNG_IDENTITY,
         "snr_calibration": "expected-energy-ratio",
@@ -218,6 +215,7 @@ def _metadata(cfg: ExperimentConfig) -> dict:
             "gobmd": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
         "cpu_count": os.cpu_count(),
         "blas_threads": _worker_blas_env(cfg.workers),
@@ -293,12 +291,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if sweep.detector in (None, row["detector"]):
             groups.setdefault(tuple(row[c] for c in sweep.group_by), []).append(row)
     summary = [{**dict(zip(sweep.group_by, key)), **sweep.stats(rows, cfg)} for key, rows in groups.items()]
-    return ExperimentResult(records, summary, _metadata(cfg), list(records[0]), list(summary[0]))
+    return ExperimentResult(records, summary, _metadata(cfg))
 
 
 # ---------------------------------------------------------------------------
 # Result persistence: CSV with 17-significant-digit doubles, JSON mirroring the
-# same rows plus a metadata block. Writes are atomic (temp file + rename).
+# same rows plus a metadata block. Writes are atomic (``model.write_atomically``).
 
 
 def _json17(o, level: int = 0) -> str:
@@ -332,22 +330,19 @@ def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict 
     """Persist a result table; CSV gets a header row, JSON adds the metadata block."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    tmp = path + ".tmp"
+    if fmt == "csv":
+        if columns is None:
+            columns = list(rows[0].keys()) if rows else []
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        text = buf.getvalue()
+    else:
+        text = _json17({"metadata": metadata or {}, "rows": rows}) + "\n"
     try:
-        if fmt == "csv":
-            if columns is None:
-                columns = list(rows[0].keys()) if rows else []
-            with open(tmp, "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(columns)
-                for row in rows:
-                    writer.writerow([_csv_cell(row.get(c)) for c in columns])
-        else:
-            doc = {"metadata": metadata or {}, "rows": rows}
-            with open(tmp, "w") as f:
-                f.write(_json17(doc))
-                f.write("\n")
-        os.replace(tmp, path)
+        write_atomically(path, text)
     except OSError as e:
         raise OSError(f"failed writing results to {path}: {e}") from e
 

@@ -165,7 +165,7 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None) -> LpSolution:
         try:
             status, iters = core.run(*start, max_iter)
         except SingularBasisError:
-            status, iters = "numerical-failure", max_iter
+            status, iters = "numerical-failure", core.pivots
         if status == "optimal":
             break
 
@@ -271,6 +271,7 @@ class _DualSimplex:
         return -self.Binv[:, q - K - N]
 
     def run(self, basis, vstat, max_iter):
+        self.pivots = 0  # what a run cut short by SingularBasisError reports as its iterations
         self.basis = np.array(basis, dtype=int)
         self.vstat = np.array(vstat, dtype=np.int8)
         self.sgn = np.where(self.vstat == AT_UPPER, -1.0, 1.0)
@@ -349,6 +350,7 @@ class _DualSimplex:
             self.Binv[r] /= piv
             col[r] = 0.0
             self.Binv = _dger(-1.0, col, self.Binv[r], a=self.Binv, overwrite_a=True)
+            self.pivots += 1
             since_refactor += 1
             if since_refactor >= REFACTOR_EVERY:
                 self._refactor()

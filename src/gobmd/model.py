@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -183,10 +184,21 @@ def save_instance(instance: RealInstance, path: str) -> None:
         parts[-1] += ","
         parts.append('  "x_true": [' + ", ".join(str(int(v)) for v in instance.x_true) + "]")
     parts.append("}")
+    write_atomically(path, "\n".join(parts) + "\n")
+
+
+def write_atomically(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as it stands: to a temporary file, then renamed over ``path``,
+    so a reader never finds it half-written. A failed write removes the temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_instance(path: str) -> RealInstance:
@@ -202,24 +214,22 @@ def load_instance(path: str) -> RealInstance:
         if fieldname not in raw:
             raise InstanceFormatError(f"{path}: missing required field '{fieldname}'")
     n, k = raw["n"], raw["k"]
-    if not (isinstance(n, int) and isinstance(k, int) and n >= 1 and k >= 1):
+    # a bool is an int to isinstance, so the types are compared exactly
+    if not (type(n) is int and type(k) is int and n >= 1 and k >= 1):
         raise InstanceFormatError(f"{path}: fields 'n' and 'k' must be positive integers")
-    if len(raw["H"]) != n * k:
-        raise InstanceFormatError(
-            f"{path}: field 'H' has {len(raw['H'])} entries, expected n*k = {n * k}"
-        )
-    if len(raw["r"]) != n:
-        raise InstanceFormatError(f"{path}: field 'r' has {len(raw['r'])} entries, expected n = {n}")
-    H = np.asarray(raw["H"], dtype=float).reshape(n, k)
-    r = np.asarray(raw["r"], dtype=float)
-    x_true = None
+    if type(raw["sigma"]) not in (int, float):
+        raise InstanceFormatError(f"{path}: field 'sigma' must be a number")
+    lists = {"H": (n * k, "n*k"), "r": (n, "n")}
     if raw.get("x_true") is not None:
-        if len(raw["x_true"]) != k:
-            raise InstanceFormatError(
-                f"{path}: field 'x_true' has {len(raw['x_true'])} entries, expected k = {k}"
-            )
-        x_true = np.asarray(raw["x_true"], dtype=float)
+        lists["x_true"] = (k, "k")
+    for name, (size, expected) in lists.items():
+        v = raw[name]
+        if not (isinstance(v, list) and all(type(u) in (int, float) for u in v)):
+            raise InstanceFormatError(f"{path}: field '{name}' must be a list of numbers")
+        if len(v) != size:
+            raise InstanceFormatError(f"{path}: field '{name}' has {len(v)} entries, expected {expected} = {size}")
     try:
-        return RealInstance(H=H, r=r, sigma=float(raw["sigma"]), x_true=x_true)
-    except ValueError as e:
+        H = np.asarray(raw["H"], dtype=float).reshape(n, k)
+        return RealInstance(H=H, r=raw["r"], sigma=float(raw["sigma"]), x_true=raw.get("x_true"))
+    except (ValueError, OverflowError) as e:  # OverflowError: an integer beyond the float range
         raise InstanceFormatError(f"{path}: {e}") from e

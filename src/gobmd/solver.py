@@ -9,7 +9,7 @@ import heapq
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class CutPool:
     def capacity(self) -> int:
         """|C| = N * 2^K, the full tangent family size."""
         return self.n_rows * (2**self.n_x)
-
-    def ratio(self) -> float:
-        return len(self.cuts) / self.capacity
 
     def add(self, cut: Cut) -> bool:
         """Append a cut unless its (row, anchor) pair is already present; True if appended."""
@@ -161,68 +158,57 @@ def initial_cuts(instance: RealInstance, ctx: LossContext | None = None) -> CutP
     return pool
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SolveReport:
-    """Outcome of a global solve, JSON-serializable, counters included."""
+    """Outcome of a global solve, counters included.
+
+    The fields, in this order, are the keys of ``to_dict``. ``gap`` and
+    ``ratio_s_over_c`` are computed from the other fields.
+    """
 
     method: str
     status: str  # optimal | node-limit | time-limit | numerical-failure
     x_star: np.ndarray | None
     objective: float | None
+    lower_bound: float | None  # the objective when optimal, else the least open bound; None if unknown
+    gap: float | None = field(init=False)  # objective - lower_bound, when both are known
     nodes_processed: int
     lp_solves: int
+    lp_iterations: int  # dual-simplex pivots summed over every node LP
+    bound_prunes: int
     cuts_added: int
     pool_size: int
     pool_capacity: int
-    ratio_s_over_c: float
+    ratio_s_over_c: float = field(init=False)  # |S| / |C|
     wall_time: float
     options: dict
-    bound_prunes: int = 0
-    lp_iterations: int = 0  # dual-simplex pivots summed over every node LP
-    lower_bound: float | None = None  # the objective when optimal, else the least open bound; None if unknown
     incumbent_history: list = field(default_factory=list)
     bound_history: list = field(default_factory=list)
     outer_lower_bounds: list = field(default_factory=list)
 
-    @property
-    def gap(self) -> float | None:
-        """objective - lower_bound, when both are known."""
-        if self.objective is None or self.lower_bound is None:
-            return None
-        return self.objective - self.lower_bound
+    def __post_init__(self):
+        known = self.objective is not None and self.lower_bound is not None
+        self.gap = self.objective - self.lower_bound if known else None
+        self.ratio_s_over_c = self.pool_size / self.pool_capacity
 
     def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "status": self.status,
-            "x_star": None if self.x_star is None else [int(v) for v in self.x_star],
-            "objective": _json_num(self.objective),
-            "lower_bound": _json_num(self.lower_bound),
-            "gap": _json_num(self.gap),
-            "nodes_processed": self.nodes_processed,
-            "lp_solves": self.lp_solves,
-            "lp_iterations": self.lp_iterations,
-            "bound_prunes": self.bound_prunes,
-            "cuts_added": self.cuts_added,
-            "pool_size": self.pool_size,
-            "pool_capacity": self.pool_capacity,
-            "ratio_s_over_c": self.ratio_s_over_c,
-            "wall_time": self.wall_time,
-            "options": dict(self.options),
-            "incumbent_history": [[n, _json_num(v)] for n, v in self.incumbent_history],
-            "bound_history": [_json_num(v) for v in self.bound_history],
-            "outer_lower_bounds": [_json_num(v) for v in self.outer_lower_bounds],
-        }
-        return d
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _json_num(v):
-    if v is None or not math.isfinite(v):
-        return None
-    return float(v)
+def _json_value(v):
+    """v as JSON data: a float finite or None, a sign vector as integers, containers item by item."""
+    if isinstance(v, float):
+        return float(v) if math.isfinite(v) else None
+    if isinstance(v, np.ndarray):
+        return [int(s) for s in v]
+    if isinstance(v, (list, tuple)):
+        return [_json_value(u) for u in v]
+    if isinstance(v, dict):
+        return {k: _json_value(u) for k, u in v.items()}
+    return v
 
 
 class _TreeSearch:
@@ -373,7 +359,7 @@ class _TreeSearch:
         """Pool the tangents at ``point`` of ``rows``; the number that were new."""
         return sum(map(self.pool.add, make_cuts(self.ctx, rows, point)))
 
-    def report(self, method, status, **fields) -> SolveReport:
+    def report(self, method, status, **outcome) -> SolveReport:
         """A SolveReport with the counters, the pool, the wall time so far and the options filled in."""
         return SolveReport(
             method=method,
@@ -385,10 +371,9 @@ class _TreeSearch:
             cuts_added=len(self.pool) - self.n_initial,
             pool_size=len(self.pool),
             pool_capacity=self.pool.capacity,
-            ratio_s_over_c=self.pool.ratio(),
             wall_time=time.perf_counter() - self.t0,
             options=self.opts.to_dict(),
-            **fields,
+            **outcome,
         )
 
 
@@ -401,7 +386,7 @@ def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> So
         status,
         x_star=search.x_best,
         objective=search.upper,
-        lower_bound=_json_num(search.lower_bound),
+        lower_bound=_json_value(search.lower_bound),
         incumbent_history=search.incumbent_history,
         bound_history=search.bound_history,
     )
@@ -440,6 +425,6 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         status,
         x_star=best_x,
         objective=None if best_x is None else best_f,
-        lower_bound=_json_num(lower),
+        lower_bound=_json_value(lower),
         outer_lower_bounds=lower_bounds,
     )

@@ -187,6 +187,21 @@ def test_solve_malformed_file(tmp_path, capsys):
     p.write_text('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0], "r": [1, -1]}')
     assert main(["solve", "--in", str(p)]) == 1
     assert "'H' has 1 entries" in capsys.readouterr().err
+    p.write_text('{"n": 2, "k": 1, "sigma": 1.0, "H": 5, "r": [1, -1]}')
+    assert main(["solve", "--in", str(p)]) == 1
+    assert "error: " + str(p) + ": field 'H' must be a list of numbers" in capsys.readouterr().err
+    assert main(["solve", "--in", str(tmp_path / "missing.json")]) == 1
+    assert "io error:" in capsys.readouterr().err
+    # the report cannot be written: nothing is left behind, not even the temporary file
+    inst = _gen(tmp_path)
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["solve", "--in", inst, "--out", str(out)]) == 1
+    assert "io error:" in capsys.readouterr().err
+    assert not out.parent.exists()
+    out.parent.mkdir()  # a directory where the report should go: the rename over it fails
+    assert main(["solve", "--in", inst, "--out", str(out.parent)]) == 1
+    assert "io error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "inst.json", "no-such-dir"]
 
 
 def test_missing_required_flag_exits_1(capsys):

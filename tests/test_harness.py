@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from gobmd import harness
 from gobmd.harness import BLAS_THREAD_VARS, ExperimentConfig, run_experiment, strip_wall_time, write_results
@@ -83,6 +84,8 @@ def test_ber_sweep_paired_and_complete():
     assert all(0.0 <= r["ber"] <= 1.0 for r in res.records)
     assert res.metadata["seed"] == 5
     assert res.metadata["config"]["trials"] == 4
+    # scipy computes every objective (log_ndtr) and every zero-forcing seed (lstsq)
+    assert res.metadata["versions"]["scipy"] == scipy.__version__
 
 
 def test_ber_summary_rows():
@@ -130,6 +133,11 @@ def test_parallel_sweep_keeps_records_and_blas_threads(monkeypatch):
     assert parallel.metadata["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
     assert serial.metadata["blas_threads"] == env
     assert parallel.metadata["cpu_count"] == os.cpu_count()
+    # a variable that was set is set back to its value
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    run_experiment(small_cfg(**cfg, workers=2))
+    assert started[-1] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+    assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
 def test_runtime_sweep_shape():

@@ -428,9 +428,20 @@ def test_singular_cold_restart_is_a_status(monkeypatch):
             raise SingularBasisError("test")
         refactor(core)
 
+    dger = lp._dger
+    pivots = []  # one rank-1 update of the basis inverse per pivot
+
+    def counting_dger(*args, **kwargs):
+        pivots.append(1)
+        return dger(*args, **kwargs)
+
     monkeypatch.setattr(lp._DualSimplex, "_refactor", singular_with_basic_x)
+    monkeypatch.setattr(lp, "_dger", counting_dger)
     p = problem(1, 1, [(0, np.array([1.0]), 0.5), (0, np.array([-1.0]), 0.3)])
-    assert solve_lp(p).status == "numerical-failure"
+    sol = solve_lp(p)
+    assert sol.status == "numerical-failure"
+    # the pivots the run made, not the run's iteration limit
+    assert sol.iterations == len(pivots) > 0
 
 
 def test_warm_basis_with_keyless_w_restarts_cold():

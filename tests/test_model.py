@@ -189,6 +189,15 @@ def test_instance_parse_errors(tmp_path):
         ('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0, 2.0], "r": [1]}', "'r' has 1 entries, expected n = 2"),
         ('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0, 2.0], "r": [1, -1], "x_true": [1, 1]}',
          "'x_true' has 2 entries, expected k = 1"),
+        # mistyped fields: each is refused by name, not by a TypeError from len(), float() or reshape
+        ('{"n": 2, "k": 1, "sigma": 1.0, "H": 5, "r": [1, -1]}', "'H' must be a list of numbers"),
+        ('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0, 2.0], "r": null}', "'r' must be a list of numbers"),
+        ('{"n": 2, "k": 1, "sigma": 1.0, "H": [1.0, 2.0], "r": [1, -1], "x_true": 1}',
+         "'x_true' must be a list of numbers"),
+        ('{"n": 2, "k": 1, "sigma": null, "H": [1.0, 2.0], "r": [1, -1]}', "'sigma' must be a number"),
+        ('{"n": 1, "k": 1, "sigma": 1.0, "H": {"a": 1}, "r": [1]}', "'H' must be a list of numbers"),
+        ('{"n": true, "k": true, "sigma": 1.0, "H": [1.0], "r": [1]}', "'n' and 'k' must be positive integers"),
+        ('{"n": 2, "k": 1, "sigma": 1.0, "H": [1' + "0" * 400 + ', 2.0], "r": [1, -1]}', "too large"),
     )
     for text, message in cases:
         p.write_text(text)

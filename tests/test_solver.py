@@ -51,7 +51,10 @@ def test_initial_pool_ratio():
     pool = initial_cuts(inst)
     assert len(pool) == 36
     assert pool.capacity == 36 * 2**8
-    assert pool.ratio() == pytest.approx(36 / 9216)
+    # the solve adds no cut, so its report reads the seed pool's |S|/|C|
+    rep = solve_gobmd(inst)
+    assert (rep.cuts_added, rep.pool_size, rep.pool_capacity) == (0, 36, 36 * 2**8)
+    assert rep.ratio_s_over_c == pytest.approx(36 / 9216)
 
 
 def test_pool_keeps_each_row_once():
