@@ -153,6 +153,8 @@ def _cmd_experiment(args) -> int:
         # checked here, so a sweep never runs only to fail when it writes its results
         if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"{key} must be a path in an existing directory, got {path!r}")
+        if path is not None and os.path.isdir(path):
+            raise ValueError(f"{key} must be a file path, not a directory, got {path!r}")
     # a setting the sweep does not take leaves its field None
     cfg = ExperimentConfig(
         experiment=args.experiment,

@@ -25,7 +25,11 @@ basis inverse is assembled from it with one (m x p)(p x m) product. Between
 refactors the inverse takes an in-place BLAS rank-1 update per pivot, and the
 reduced costs follow the pivot row instead of being recomputed; both are
 rebuilt exactly at every refactor, including the last one before the
-optimality certificate.
+optimality certificate. The rank-1 update goes to ``dger`` in column blocks of
+fewer than 8,192 entries: OpenBLAS runs ``ger`` on one thread below that size
+and wakes its thread pool above it, which on these matrices (m of 90 to a few
+hundred) costs more than the update itself. Each entry gets the same
+arithmetic either way, so the blocks change no bit.
 
 No dense constraint matrix is stored. The pivot row, the entering column and
 the products A v and y A come from the same row structure: the x block is a
@@ -64,6 +68,10 @@ DEGEN_LIMIT = 40  # consecutive degenerate pivots before Bland's rule engages
 REFACTOR_EVERY = 64
 MAX_ITER_PER_COLUMN = 50  # a run's pivot limit is this times the column count K + N + m
 COND_LIMIT = 1e12  # working matrices with p |W|max |W^-1|max above this count as singular
+# OpenBLAS runs ger single-threaded below 2048 * GEMM_MULTITHREAD_THRESHOLD (4 in its
+# default build) entries (interface/ger.c); larger updates wake its thread pool, which
+# costs more than it saves at node-LP sizes
+GER_MAX_ENTRIES = 8192
 
 
 class SingularBasisError(RuntimeError):
@@ -225,6 +233,15 @@ def _warm_start(p: LpProblem, warm: BasisToken | None):
     return None
 
 
+def _rank1_update(a, x, y):
+    """a -= outer(x, y) in place on the F-ordered ``a``, by dger calls on blocks below GER_MAX_ENTRIES."""
+    m, n = a.shape
+    width = max(1, (GER_MAX_ENTRIES - 1) // m)
+    for j in range(0, n, width):
+        # positional: incx, incy, a, overwrite_x, overwrite_y, overwrite_a; keywords cost more per call
+        _dger(-1.0, x, y[j : j + width], 1, 1, a[:, j : j + width], 1, 1, True)
+
+
 class _DualSimplex:
     """Bounded-variable dual simplex on A v = b, l <= v <= u, min c.v, for A = [-coef | E_w | -I].
 
@@ -249,6 +266,7 @@ class _DualSimplex:
         # rows grouped by their w, for the w columns of A
         self.w_order = np.argsort(p.row_w, kind="stable")
         self.w_start = np.concatenate([[0], np.cumsum(np.bincount(p.row_w, minlength=N))])
+        self.kind_edges = np.array([K, K + N])  # column kinds x, w, slack start at 0, K, K + N
         self.start_inverse = None  # B^-1 of the next run's starting basis, if already known
 
     def _yA(self, y):
@@ -283,41 +301,41 @@ class _DualSimplex:
             # a copy: the rank-1 update writes in place, and a sibling shares the token's array
             self.Binv = self.start_inverse.copy(order="F")
             self._values()
-        if np.any(self.sgn * self.d < -DUAL_TOL):
+        if (self.sgn * self.d < -DUAL_TOL).any():
             # not dual feasible: the method would stop at a point that is not optimal
             return "numerical-failure", 0
         degen_run = 0
         bland = False
         since_refactor = 0
+        ratios = np.empty(self.n)
         for it in range(max_iter):
             vb = self.vb
-            below = self.lb - vb
-            above = vb - self.ub
-            viol = np.maximum(below, above)
-            worst = viol.max() if self.m else 0.0
-            if worst <= FEAS_TOL:
+            viol = np.maximum(self.lb - vb, vb - self.ub)
+            r = int(viol.argmax()) if self.m else -1
+            if r < 0 or viol[r] <= FEAS_TOL:
                 self._finalize(since_refactor)
                 return "optimal", it
             if bland:
                 cand = np.flatnonzero(viol > FEAS_TOL)
                 r = cand[np.argmin(self.basis[cand])]
-            else:
-                r = int(np.argmax(viol))
-            leaving_low = below[r] >= above[r]
+            v_r, lb_r, ub_r = vb.item(r), self.lb.item(r), self.ub.item(r)
+            leaving_low = lb_r - v_r >= v_r - ub_r
 
             alpha = self._yA(self.Binv[r])
-            s_alpha = self.sgn * alpha
+            abs_alpha = np.abs(alpha)
             # relative to the pivot row's scale: an entry that is noise next to
             # the rest of the row would make a near-singular basis
-            tol = PIV_TOL * max(1.0, float(np.abs(alpha).max()))
-            idx = np.flatnonzero(s_alpha < -tol if leaving_low else s_alpha > tol)
-            if idx.size == 0:
+            tol = PIV_TOL * max(1.0, abs_alpha.item(abs_alpha.argmax()))
+            s_alpha = self.sgn * alpha
+            eligible = s_alpha < -tol if leaving_low else s_alpha > tol
+            ratios.fill(np.inf)
+            np.divide(np.abs(self.d), abs_alpha, out=ratios, where=eligible)
+            q = int(ratios.argmin())  # first minimum = lowest column index
+            theta = ratios[q]
+            if theta == np.inf:  # no eligible column
                 self._duals()
                 self.v[self.basis] = self.vb
                 return "infeasible", it
-            ratios = np.abs(self.d[idx]) / np.abs(alpha[idx])
-            theta = ratios.min()
-            q = int(idx[np.argmin(ratios)])  # first minimum = lowest column index
             if theta <= DEGEN_TOL:
                 degen_run += 1
                 if degen_run >= DEGEN_LIMIT:
@@ -326,14 +344,14 @@ class _DualSimplex:
                 degen_run = 0
 
             col = self._binv_col(q)
-            piv = col[r]
+            piv = col.item(r)
             if abs(piv) < PIV_TOL:
                 self._refactor()
                 since_refactor = 0
                 continue
             leave = self.basis[r]
-            target = self.lb[r] if leaving_low else self.ub[r]
-            step = (vb[r] - target) / piv
+            target = lb_r if leaving_low else ub_r
+            step = (v_r - target) / piv
             vb -= col * step
             vb[r] = self.v[q] + step
             self.v[leave] = target
@@ -347,9 +365,10 @@ class _DualSimplex:
             self.d -= (self.d[q] / alpha[q]) * alpha
             self.d[q] = 0.0
             # rank-1 update of the basis inverse, in place
-            self.Binv[r] /= piv
+            row = self.Binv[r] / piv
+            self.Binv[r] = row
             col[r] = 0.0
-            self.Binv = _dger(-1.0, col, self.Binv[r], a=self.Binv, overwrite_a=True)
+            _rank1_update(self.Binv, col, row)
             self.pivots += 1
             since_refactor += 1
             if since_refactor >= REFACTOR_EVERY:
@@ -371,22 +390,23 @@ class _DualSimplex:
         """
         m, K, N = self.m, self.K, self.N
         basis = self.basis
-        x_pos = np.flatnonzero(basis < K)
-        w_pos = np.flatnonzero((basis >= K) & (basis < K + N))
-        s_pos = np.flatnonzero(basis >= K + N)
-        x_cols = basis[x_pos]
-        w_ids = basis[w_pos] - K
-        s_rows = basis[s_pos] - (K + N)
-        p = len(x_cols)
+        # basis positions grouped x, w, slack; each group in ascending order
+        kind = np.searchsorted(self.kind_edges, basis, side="right")
+        order = np.argsort(kind, kind="stable")
+        p, n_w, _ = np.bincount(kind, minlength=3)
+        x_pos, w_pos, s_pos = order[:p], order[p : p + n_w], order[p + n_w :]
+        cols = basis[order]
+        x_cols = cols[:p]
+        w_ids = cols[p : p + n_w] - K
+        s_rows = cols[p + n_w :] - (K + N)
 
         tight = np.ones(m, dtype=bool)
         tight[s_rows] = False
         tight_rows = np.flatnonzero(tight)
-        w_with_rows, first = np.unique(self.row_w[tight_rows], return_index=True)
-        key_of = np.full(N, -1)
-        key_of[w_with_rows] = tight_rows[first]
+        key_of = np.full(N, m)  # first tight row of each w; m where it has none
+        np.minimum.at(key_of, self.row_w[tight_rows], tight_rows)
         keys = key_of[w_ids]
-        if np.any(keys < 0):
+        if (keys == m).any():
             raise SingularBasisError("basic w column without a tight row")
         basic_key = np.full(N, -1)
         basic_key[w_ids] = keys
@@ -414,7 +434,8 @@ class _DualSimplex:
         YT[work_rows] = Winv.T
         work_keys = row_key[work_rows]
         has_key = work_keys >= 0
-        np.subtract.at(YT, work_keys[has_key], Winv.T[has_key])
+        if has_key.any():
+            np.subtract.at(YT, work_keys[has_key], Winv.T[has_key])
         F = np.empty((m, p))
         F[x_pos] = np.eye(p)
         F[w_pos] = Cx[keys]
@@ -425,7 +446,7 @@ class _DualSimplex:
         s_keys = row_key[s_rows]
         has_key = s_keys >= 0
         Binv[s_pos[has_key], s_keys[has_key]] += 1.0
-        if not np.all(np.isfinite(Binv)):
+        if not np.isfinite(Binv).all():
             raise SingularBasisError("non-finite basis inverse")
         self.Binv = Binv
         self._values()

@@ -132,6 +132,7 @@ def test_invalid_limits_exit_1(tmp_path, capsys):
         ("format", "xml", "format"),
         ("records_out", 5, "records_out"),
         ("records_out", str(tmp_path / "missing" / "r.csv"), "records_out"),
+        ("records_out", str(tmp_path), "records_out"),
     )
     for key, value, name in cases:
         cfg_path.write_text(json.dumps({"n_ant": 6, "k_users": "2", "trials": 1, key: value}))
@@ -150,6 +151,11 @@ def test_invalid_limits_exit_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: out must be a path in an existing directory" in captured.err
     assert "config:" not in captured.out and not missing.parent.exists()
+    # so is an output path that is a directory
+    assert main(["ber", "--n-ant", "6", "--k-users", "2", "--trials", "1", "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "error: out must be a file path, not a directory" in captured.err
+    assert "config:" not in captured.out
     # n_ant belongs to the sweeps without a ratios axis, ratios to the phase grid alone
     for argv in (["phase", "--k-users", "2", "--ratios", "2", "--n-ant", "6"],
                  ["ber", "--n-ant", "6", "--k-users", "2", "--ratios", "2"]):

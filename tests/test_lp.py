@@ -13,6 +13,7 @@ from gobmd.loss import LossContext, make_cut
 from gobmd.lp import AT_LOWER, AT_UPPER, BASIC, BasisToken, LpProblem, SingularBasisError, certificate, solve_lp
 from gobmd.model import GenConfig, generate_instance
 from gobmd.solver import initial_cuts, solve_gobmd, solve_incremental
+from test_stress import stressed
 
 
 def scipy_optimum(p) -> float:
@@ -517,6 +518,44 @@ def test_pivot_path_pinned(case):
         bases.append(sol.basis)
         assert sol.status == "optimal"
         assert (sol.iterations, sol.objective) == (iterations, pytest.approx(objective, rel=1e-12))
+
+
+def test_whole_search_counts_pinned():
+    # Nodes, LPs and pivots of two whole searches, recorded before the pivot
+    # loop was trimmed and the rank-1 update split into blocks. The first
+    # search's node LPs have 96 rows, so every pivot updates the inverse in
+    # two blocks. The second turns on last bits: computing an entering x
+    # column as Binv @ -coef[:, q], algebraically equal to -(Binv @ coef[:, q]),
+    # takes it from 63 nodes to 61.
+    rep = solve_gobmd(generate_instance(GenConfig(48, 7, 10.0, 4000), 0))
+    assert (rep.status, rep.nodes_processed, rep.lp_solves, rep.lp_iterations) == ("optimal", 6, 6, 162)
+    rep = solve_incremental(stressed("40dB", 22))
+    assert (rep.status, rep.nodes_processed, rep.lp_solves, rep.lp_iterations) == ("optimal", 63, 63, 373)
+
+
+def test_blocked_rank1_update_is_one_dger_call(monkeypatch):
+    # The update goes to dger in column blocks small enough that OpenBLAS
+    # runs each on one thread; every entry must come out as one call on the
+    # whole matrix gives it, written in place into the F-ordered inverse.
+    dger = lp._dger
+    blocks = []
+
+    def recording_dger(*args, **kwargs):
+        blocks.append((kwargs["a"] if "a" in kwargs else args[5]).shape)
+        return dger(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_dger", recording_dger)
+    for m in (1, 2, 36, 90, 91, 96, 128, 200, 341):
+        rng = np.random.default_rng(m)
+        a = np.asfortranarray(rng.standard_normal((m, m)))
+        x, y = rng.standard_normal(m), rng.standard_normal(m)
+        want = dger(-1.0, x, y, a=a.copy(order="F"))
+        blocks.clear()
+        lp._rank1_update(a, x, y)
+        assert a.flags.f_contiguous and a.tobytes(order="F") == want.tobytes(order="F"), m
+        assert all(rows * cols < lp.GER_MAX_ENTRIES for rows, cols in blocks), m
+        assert sum(cols for _, cols in blocks) == m
+        assert len(blocks) == (1 if m <= 90 else -(-m // (8191 // m))), m
 
 
 def recorded_node_lps(monkeypatch):
