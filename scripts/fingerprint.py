@@ -1,4 +1,4 @@
-"""Fingerprint the branch-and-bound searches: one SHA-256 per solver and instance set.
+"""Fingerprint the branch-and-bound searches and the CLI outputs: one SHA-256 each.
 
     python3 scripts/fingerprint.py
 
@@ -14,24 +14,58 @@ alone can be checked by running this script at both commits. Sets:
   node-limited  GenConfig(18, 4, 10.0, 4000), trials 0-5, each with
                 node_limit 1, 3, 10 and 30
 
-Each line is: solver, set, number of solves, SHA-256. A run takes about 40 s
-on a 2-core machine.
+Each such line is: solver, set, number of solves, SHA-256.
+
+Then one line per CLI output, ``cli``, its name and its SHA-256, from
+``gobmd.cli.main`` run in this process in a temporary directory:
+
+  gen           the instance file and the exit code with stdout
+  solve-*       each detector on that instance, with and without
+                ``--node-limit 2``: the ``--out`` file and the exit code
+                with stdout
+  ber-*, runtime-*, ratio-*, phase-*
+                each sweep over all four detectors, in CSV and in JSON: the
+                summary, the records and the exit code with stdout
+
+Before hashing, the temporary directory's path reads ``<tmp>``, and the
+values of ``wall_time``, ``mean_wall_time`` and ``median_wall_time`` read
+``*``. Nothing else is masked: a sweep's metadata records the core count,
+the BLAS thread variables and the versions of Python, numpy and scipy, so
+compare runs from one machine and one environment only.
+
+A run takes about 40 s on a 2-core machine.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gobmd import GenConfig, SolverOptions, generate_instance, solve_gobmd, solve_incremental  # noqa: E402
+from gobmd.cli import main as cli_main  # noqa: E402
 from test_stress import stressed  # noqa: E402
 
 STRESS_CASES = ("30dB", "40dB", "60dB", "duplicated", "scaled-1e4", "scaled-1e-4", "N=K")
+DETECTORS = ("gobmd", "incremental", "exhaustive", "zf")
+SWEEP_ARGS = {
+    "ber": ["--n-ant", "6", "--k-users", "2,3", "--snr", "0,10", "--trials", "3"],
+    "runtime": ["--n-ant", "8", "--k-users", "2,4", "--snr", "10", "--trials", "3"],
+    "ratio": ["--n-ant", "8", "--k-users", "2,4", "--snr", "10", "--trials", "3"],
+    "phase": ["--k-users", "2", "--ratios", "2,4", "--snr", "0,10", "--trials", "2"],
+}
+WALL_TIME_KEYS = ("wall_time", "mean_wall_time", "median_wall_time")
+# a wall-time value in JSON ("wall_time": v) and in a sweep's headline (wall_time=v)
+WALL_TIME_TEXT = re.compile(r"\b((?:mean_|median_)?wall_time(?:\": |=))[^\s,;]+")
 
 
 def instance_sets():
@@ -56,11 +90,59 @@ def fingerprint(solver, solves) -> str:
     return digest.hexdigest()
 
 
+def cli_runs(tmp: str):
+    """(name, argv, files written) for each CLI run whose outputs are hashed."""
+    inst = f"{tmp}/inst.json"
+    runs = [("gen", ["gen", "--n-ant", "8", "--k-users", "4", "--snr", "10", "--seed", "4000", "--out", inst], [inst])]
+    for det in DETECTORS:
+        for limit in ([], ["--node-limit", "2"]):
+            name = f"solve-{det}" + ("-node-limit-2" if limit else "")
+            out = f"{tmp}/{name}.json"
+            runs.append((name, ["solve", "--in", inst, "--detector", det, *limit, "--out", out], [out]))
+    for command, args in SWEEP_ARGS.items():
+        for fmt in ("csv", "json"):
+            name = f"{command}-{fmt}"
+            out, records = f"{tmp}/{name}.{fmt}", f"{tmp}/{name}-records.{fmt}"
+            detectors = ["--detectors", ",".join(DETECTORS), "--format", fmt]
+            runs.append((name, [command, *args, *detectors, "--out", out, "--records-out", records], [out, records]))
+    return runs
+
+
+def masked(text: str, tmp: str, csv_table: bool) -> str:
+    """``text`` with the temporary path and the wall-time values masked."""
+    text = text.replace(tmp, "<tmp>")
+    if not csv_table:
+        return WALL_TIME_TEXT.sub(r"\1*", text)
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    timed = [j for j, column in enumerate(header) if column in WALL_TIME_KEYS]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["*" if j in timed else cell for j, cell in enumerate(row)])
+    return buf.getvalue()
+
+
+def cli_fingerprints():
+    """(output name, SHA-256 of the masked output) for every output of ``cli_runs``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv, files in cli_runs(tmp):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli_main(argv)
+            outputs = [(f"{name}.stdout", f"exit {code}\n" + stdout.getvalue(), False)]
+            outputs += [(Path(f).name, Path(f).read_bytes().decode(), f.endswith(".csv")) for f in files]
+            for output, text, csv_table in outputs:
+                yield output, hashlib.sha256(masked(text, tmp, csv_table).encode()).hexdigest()
+
+
 def main() -> int:
     sets = instance_sets()
     for solver in (solve_gobmd, solve_incremental):
         for name, solves in sets:
             print(f"{solver.__name__:18s} {name:13s} {len(solves):4d} {fingerprint(solver, solves)}", flush=True)
+    for output, digest in cli_fingerprints():
+        print(f"cli {output:32s} {digest}", flush=True)
     return 0
 
 

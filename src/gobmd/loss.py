@@ -72,9 +72,6 @@ class Cut:
     grad: np.ndarray
     offset: float
 
-    def value_at(self, x: np.ndarray) -> float:
-        return float(self.grad @ x + self.offset)
-
 
 class LossContext:
     """Precomputed scaled rows r_i h_i / sigma of an instance.

@@ -144,7 +144,7 @@ class LpSolution:
     x: np.ndarray
     w: np.ndarray
     objective: float
-    basis: BasisToken | None
+    basis: BasisToken
     reduced_costs: np.ndarray  # over (x, w, slack) columns
     iterations: int
 
@@ -483,22 +483,19 @@ def certificate(p: LpProblem, sol: LpSolution) -> dict:
         )
     )
     d = sol.reduced_costs
-    vstat = sol.basis.vstat if sol.basis is not None else None
-    dual_violation = 0.0
-    if vstat is not None:
-        lower = np.concatenate([p.x_lower, np.zeros(N + m)])
-        upper = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
-        free = upper - lower > 0
-        at_lo = (vstat == AT_LOWER) & free
-        at_up = (vstat == AT_UPPER) & free
-        is_basic = vstat == BASIC
-        dual_violation = float(
-            max(
-                np.max(-d[at_lo], initial=0.0),
-                np.max(d[at_up], initial=0.0),
-                np.max(np.abs(d[is_basic]), initial=0.0),
-            )
+    vstat = sol.basis.vstat
+    lower = np.concatenate([p.x_lower, np.zeros(N + m)])
+    upper = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
+    free = upper - lower > 0
+    at_lo = (vstat == AT_LOWER) & free
+    at_up = (vstat == AT_UPPER) & free
+    dual_violation = float(
+        max(
+            np.max(-d[at_lo], initial=0.0),
+            np.max(d[at_up], initial=0.0),
+            np.max(np.abs(d[vstat == BASIC]), initial=0.0),
         )
+    )
     return {
         "row_violation": row_violation,
         "bound_violation": bound_violation,

@@ -225,6 +225,9 @@ class _TreeSearch:
     LP optima (every |x_j| exactly 1) are checked against the true per-row
     losses, and the tangents violated by more than ``CUT_TOL`` are added in
     place (re-solving the tightened LP); any other LP optimum is branched on.
+    An integral optimum that violates none is offered as the incumbent; its
+    LP value can lie up to N * ``CUT_TOL`` below f there, so its node is
+    branched too unless that value reaches the new cutoff or no sign is free.
     A node is pruned once its bound reaches the incumbent's value less
     ``PRUNE_TOL``. Before its LP, each node is bounded by the continuous
     relaxation min f over its box and pruned on that bound when it can be
@@ -322,17 +325,18 @@ class _TreeSearch:
                         self.offer(x_lp, sol.w)
                         break
                     g = self.ctx.g_all(x_lp)
-                    if not self.add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_lp):
-                        # case (2.1): feasible for the true losses (or, unreachable
-                        # in exact arithmetic, every violated tangent is already
-                        # pooled); store the exact objective so pruning never
-                        # drifts by CUT_TOL
-                        self.offer(x_lp, g)
+                    if self.add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_lp):
+                        problem = self._build_problem(xl, xu)  # case (2.2): the new cuts are the last rows
+                        warm = sol.basis
+                        continue
+                    # case (2.1): feasible for the true losses (or, unreachable in
+                    # exact arithmetic, every violated tangent is already pooled);
+                    # store the exact objective so pruning never drifts by CUT_TOL,
+                    # and close the node only on its bound or as a single point
+                    self.offer(x_lp, g)
+                    if f_lp >= self.upper - PRUNE_TOL or not np.any(xl < xu):
                         break
-                    problem = self._build_problem(xl, xu)  # case (2.2): the new cuts are the last rows
-                    warm = sol.basis
-                    continue
-                # case (3): branch
+                # case (3): branch, as is a case-(2.1) node left open
                 if self.generate_cuts:
                     j = select_branch_var(x_relax, xl < xu)
                 else:

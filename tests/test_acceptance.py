@@ -177,7 +177,7 @@ def test_criterion_7_cut_validity():
             cut = make_cut(ctx, i, anchor)
             g_anchor = g_eval(ctx, i, anchor)
             worst_tangency = max(
-                worst_tangency, abs(cut.value_at(anchor) - g_anchor) / abs(g_anchor)
+                worst_tangency, abs(cut.grad @ anchor + cut.offset - g_anchor) / abs(g_anchor)
             )
             xs = rng.uniform(-1, 1, (500, ctx.k))
             g_vals = -log_ncdf(xs @ ctx.rows[i])

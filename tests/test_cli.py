@@ -71,6 +71,43 @@ def test_solve_deterministic_modulo_wall_time(tmp_path, capsys):
     assert docs[0] == docs[1]
 
 
+SEARCH_KEYS = [
+    "method", "status", "x_star", "objective", "lower_bound", "gap", "nodes_processed", "lp_solves",
+    "lp_iterations", "bound_prunes", "cuts_added", "pool_size", "pool_capacity", "ratio_s_over_c", "wall_time",
+    "options", "incumbent_history", "bound_history", "outer_lower_bounds",
+]
+REPORT_KEYS = {
+    "gobmd": SEARCH_KEYS,
+    "incremental": SEARCH_KEYS,
+    "exhaustive": ["method", "status", "x_star", "objective", "nodes_processed", "ties", "wall_time", "options"],
+    "zf": ["method", "status", "x_star", "objective", "wall_time", "options"],
+}
+
+
+def test_report_keys_and_record_columns_of_every_detector(tmp_path, capsys):
+    inst = _gen(tmp_path)
+    for det, keys in REPORT_KEYS.items():
+        capsys.readouterr()
+        assert main(["solve", "--in", inst, "--detector", det]) == 0
+        out = capsys.readouterr().out
+        assert list(json.loads(out[out.index("{") :])) == keys, det
+    columns = [
+        "k_users", "n_antennas", "snr_db", "trial", "seed", "detector", "ber", "objective", "wall_time", "nodes",
+        "cuts", "ratio_s_over_c", "status", "ties",
+    ]
+    detectors = ",".join(REPORT_KEYS)
+    for fmt in ("csv", "json"):
+        rec = tmp_path / f"records.{fmt}"
+        args = ["--n-ant", "4", "--k-users", "2", "--trials", "1", "--detectors", detectors, "--format", fmt]
+        assert main(["ber", *args, "--out", str(tmp_path / f"ber.{fmt}"), "--records-out", str(rec)]) == 0
+        if fmt == "csv":
+            assert rec.read_text().splitlines()[0] == ",".join(columns)
+        else:
+            rows = json.loads(rec.read_text())["rows"]
+            assert [r["detector"] for r in rows] == list(REPORT_KEYS)
+            assert all(list(r) == columns for r in rows)
+
+
 def test_solve_limit_exit_code(tmp_path):
     inst = _gen(tmp_path, n_ant=10, k=5, snr=0.0, seed=41)
     assert main(["solve", "--in", inst, "--node-limit", "1"]) == 2

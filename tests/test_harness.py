@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -251,9 +252,18 @@ def test_write_results_csv(tmp_path):
 
 
 def test_write_results_empty_csv(tmp_path):
+    # a table's columns are its rows' keys, so a table with no rows has an empty header
     path = str(tmp_path / "empty.csv")
-    write_results([], path, "csv", columns=["x", "y"])
-    assert Path(path).read_text().splitlines() == ["x,y"]
+    write_results([], path, "csv")
+    assert Path(path).read_text().splitlines() == [""]
+
+
+def test_write_results_names_a_missing_directory(tmp_path):
+    path = str(tmp_path / "missing" / "out.csv")
+    for fmt in ("csv", "json"):
+        with pytest.raises(OSError, match="failed writing results to " + re.escape(path)):
+            write_results([{"a": 1}], path, fmt)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_write_results_json_roundtrip(tmp_path):

@@ -42,7 +42,7 @@ def test_initial_cuts_identity_channel():
     assert np.array_equal(x_zf, r)
     ctx = LossContext.from_instance(inst)
     for cut in pool.cuts:
-        val = cut.value_at(cut.point)
+        val = cut.grad @ cut.point + cut.offset
         assert val == pytest.approx(float(ctx.g_all(cut.point)[cut.row]), rel=1e-12)
 
 
@@ -295,6 +295,55 @@ def test_lp_cut_tree_certifies_without_the_relaxation(monkeypatch):
         )
         cuts += rep.cuts_added
     assert closed > 0 and cuts > 0, (closed, cuts)
+
+
+def test_integral_lp_point_closes_its_node_only_on_its_bound(monkeypatch):
+    # Case (2.1) offers an integral LP optimum that violates no tangent by more
+    # than CUT_TOL. Its LP value can lie up to N * CUT_TOL below f there, so the
+    # node may close only when that value reaches the new cutoff, or when no sign
+    # is free; otherwise it must be branched. Same instances as the test above.
+    events = []
+    real_solve, real_offer, real_branch = gobmd.lp.solve_lp, gobmd.solver._TreeSearch.offer, gobmd.solver._TreeSearch._branch
+
+    def recording_relaxation(ctx, lower, upper, x0, cutoff):
+        events.append(("relax",))
+        return np.clip(x0, lower, upper), -np.inf
+
+    def recording_solve(problem, warm=None):
+        events.append(("lp", problem, real_solve(problem, warm)))
+        return events[-1][2]
+
+    def recording_offer(search, x, w):
+        real_offer(search, x, w)
+        events.append(("offer", x, search.upper))
+
+    def recording_branch(search, *args):
+        events.append(("branch",))
+        real_branch(search, *args)
+
+    monkeypatch.setattr(gobmd.solver, "box_relaxation", recording_relaxation)
+    monkeypatch.setattr(gobmd.lp, "solve_lp", recording_solve)
+    monkeypatch.setattr(gobmd.solver._TreeSearch, "offer", recording_offer)
+    monkeypatch.setattr(gobmd.solver._TreeSearch, "_branch", recording_branch)
+    closures = branched = 0
+    for t in range(24):
+        inst = generate_instance(GenConfig(8, 2 + t % 4, (0.0, 10.0, 30.0)[t % 3], 4000), t)
+        events.clear()
+        rep = solve_gobmd(inst)
+        assert rep.status == "optimal" and rep.objective == exhaustive_search(inst).objective, t
+        # an offer right after an LP is case (2.1): the relaxation's offers follow a "relax"
+        for i in range(len(events) - 1):
+            if events[i][0] != "lp" or events[i + 1][0] != "offer":
+                continue
+            (_, problem, sol), (_, x, upper) = events[i : i + 2]
+            assert np.array_equal(sol.x, x), t
+            if events[i + 2 : i + 3] == [("branch",)]:
+                branched += 1
+                continue
+            closures += 1
+            single_point = np.array_equal(problem.x_lower, problem.x_upper)
+            assert single_point or sol.objective >= upper - gobmd.solver.PRUNE_TOL, (t, upper - sol.objective)
+    assert closures > 0 and branched > 0, (closures, branched)
 
 
 def test_incumbent_history_non_increasing():

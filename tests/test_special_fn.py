@@ -140,6 +140,12 @@ def test_g_eval_values():
         g_eval(ctx, 1, np.zeros(2))
 
 
+def test_loss_context_refuses_nonpositive_sigma():
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            LossContext(np.eye(2), np.ones(2), sigma)
+
+
 def test_g_positive_everywhere():
     rng = np.random.default_rng(5)
     ctx = _ctx(rng.standard_normal((6, 3)))
@@ -159,6 +165,9 @@ def test_g_grad_direction_and_value():
         g = g_grad(ctx, 0, x)
         scale = -g / np.array([1.0, -1.0])
         assert scale[0] > 0 and scale[0] == pytest.approx(scale[1], rel=1e-12)
+    for i in (1, -1):
+        with pytest.raises(IndexError, match="out of range"):
+            g_grad(ctx, i, np.zeros(2))
 
 
 def central_difference_grad(ctx, i, x, h=1e-5):
@@ -232,7 +241,7 @@ def test_make_cut_tangency():
         for i in range(4):
             cut = make_cut(ctx, i, point)
             g = g_eval(ctx, i, point)
-            assert cut.value_at(point) == pytest.approx(g, rel=1e-12)
+            assert cut.grad @ point + cut.offset == pytest.approx(g, rel=1e-12)
 
 
 def test_make_cut_offset_at_orthogonal_point():
@@ -249,7 +258,7 @@ def test_make_cut_underestimates():
         x = rng.uniform(-1, 1, 3)
         for i in range(4):
             cut = make_cut(ctx, i, anchor)
-            assert g_eval(ctx, i, x) >= cut.value_at(x) - 1e-10
+            assert g_eval(ctx, i, x) >= cut.grad @ x + cut.offset - 1e-10
 
 
 def test_make_cuts_match_per_row_cuts_in_both_tails():
@@ -273,7 +282,7 @@ def test_make_cuts_match_per_row_cuts_in_both_tails():
         for ref_grad, ref_offset in ((single.grad, single.offset), (grad, g - float(grad @ point))):
             assert np.allclose(cut.grad, ref_grad, rtol=1e-14, atol=0.0)
             assert cut.offset == pytest.approx(ref_offset, rel=1e-14, abs=1e-14 * g)
-        assert cut.value_at(point) == pytest.approx(g, rel=1e-14)
+        assert cut.grad @ point + cut.offset == pytest.approx(g, rel=1e-14)
 
 
 def test_make_cuts_rejects_rows_out_of_range():
