@@ -141,7 +141,11 @@ DETECTORS = {
 
 
 def _trial_task(args):
-    """One record per detector on the point's instance of this trial."""
+    """One record per detector on the point's instance of this trial.
+
+    A counter that the detector does not keep (``nodes``, ``cuts``,
+    ``ratio_s_over_c``, ``ties``) is None, an empty CSV cell.
+    """
     point, gen_cfg, trial, detectors, opts = args
     instance = generate_instance(gen_cfg, trial)
     rows = []
@@ -158,8 +162,8 @@ def _trial_task(args):
                 "ber": ber,
                 "objective": report["objective"],
                 "wall_time": report["wall_time"],
-                "nodes": report.get("nodes_processed", 0),
-                "cuts": report.get("cuts_added", 0),
+                "nodes": report.get("nodes_processed"),
+                "cuts": report.get("cuts_added"),
                 "ratio_s_over_c": report.get("ratio_s_over_c"),
                 "status": report["status"],
                 "ties": report.get("ties"),

@@ -14,16 +14,23 @@ Tangents, objective values and Newton steps each take one pass per call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
 # Below this z the inverse Mills ratio is evaluated from its asymptotic series;
 # above it, from exp(log phi - log Phi).
 INV_MILLS_ASYMPTOTIC_SWITCH = -30.0
+
+# The scalar operands of the per-element kernels, as 0-d arrays: numpy takes a
+# 0-d array operand faster than a Python or numpy scalar, with the same float64
+# arithmetic.
+_MINUS_HALF = np.array(-0.5)
+_LOG_SQRT_2PI = np.array(0.5 * np.log(2.0 * np.pi))
+_SWITCH = np.array(INV_MILLS_ASYMPTOTIC_SWITCH)
+_ZERO = np.array(0.0)
 
 
 def log_ncdf(z):
@@ -45,9 +52,9 @@ def _inv_mills_series(z: np.ndarray) -> np.ndarray:
 def _log_ncdf_and_inv_mills(z: np.ndarray):
     """log Phi(z) and the inverse Mills ratio of an array, from one log_ndtr pass."""
     log_cdf = special.log_ndtr(z)
-    lam = np.exp(-0.5 * z * z - _LOG_SQRT_2PI - log_cdf)
-    tail = z < INV_MILLS_ASYMPTOTIC_SWITCH
-    if tail.any():
+    lam = np.exp(_MINUS_HALF * z * z - _LOG_SQRT_2PI - log_cdf)
+    tail = z < _SWITCH
+    if np.count_nonzero(tail):
         lam[tail] = _inv_mills_series(z[tail])
     return log_cdf, lam
 
@@ -156,18 +163,28 @@ F_ROUNDOFF = 1e-13
 LINE_SEARCH_HALVINGS = 30
 ACTIVE_EPS = 1e-3  # upper limit of the epsilon-active band at the bounds
 HESS_RIDGE = 1e-12  # relative to the largest Hessian diagonal entry
+_TINY = np.array(np.finfo(float).tiny)
 
 
 def _newton_terms(rows: np.ndarray, x: np.ndarray):
-    """f(x), its gradient, and the Hessian weights g_i'' = lam (u + lam), from one log Phi pass."""
+    """f(x) and the margins u and inverse Mills ratios lam it came from, from one log Phi pass.
+
+    The gradient is -(lam @ rows) and the Hessian weights g_i'' are lam (u + lam);
+    the line search forms them only at the points it accepts.
+    """
     u = rows @ x
     log_cdf, lam = _log_ncdf_and_inv_mills(u)
-    return -float(log_cdf.sum()), -(lam @ rows), lam * (u + lam)
+    return -float(np.add.reduce(log_cdf)), u, lam
 
 
 def _box_bound(f, grad, x, lower, upper) -> float:
     # the LP value over the box of the N tangents at x summed into one row
-    return f + float(np.minimum(grad * (lower - x), grad * (upper - x)).sum())
+    return f + float(np.add.reduce(np.minimum(grad * (lower - x), grad * (upper - x))))
+
+
+def _clip(x, lower, upper):
+    # np.clip's values, signed zeros and NaN alike, without its Python-level wrapper
+    return np.minimum(np.maximum(x, lower), upper)
 
 
 def box_relaxation(ctx: LossContext, lower: np.ndarray, upper: np.ndarray, x0: np.ndarray, cutoff: float = np.inf):
@@ -189,40 +206,44 @@ def box_relaxation(ctx: LossContext, lower: np.ndarray, upper: np.ndarray, x0: n
     that never reaches the cutoff is the full run.
     """
     rows = ctx.rows
-    x = np.clip(x0, lower, upper)
+    x = _clip(x0, lower, upper)
     movable = lower < upper
-    f, grad, curv = _newton_terms(rows, x)
+    f, u, lam = _newton_terms(rows, x)
+    grad = -(lam @ rows)
     bound = _box_bound(f, grad, x, lower, upper)
     for _ in range(NEWTON_MAX_ITER):
         if bound >= cutoff or f - bound <= NEWTON_GAP_TOL * max(1.0, abs(f)):
             break
-        pg = x - np.clip(x - grad, lower, upper)
-        eps = min(ACTIVE_EPS, float(np.abs(pg).max()))
-        active = ((x <= lower + eps) & (grad > 0)) | ((x >= upper - eps) & (grad < 0))
-        newton = movable & ~active
+        curv = lam * (u + lam)
+        pg = x - _clip(x - grad, lower, upper)
+        eps = np.array(min(ACTIVE_EPS, float(np.maximum.reduce(np.abs(pg)))))
+        active = ((x <= lower + eps) & (grad > _ZERO)) | ((x >= upper - eps) & (grad < _ZERO))
+        newton = movable > active  # movable and not active
         scaled = movable & active
-        d = np.zeros_like(x)
-        if newton.any():
+        d = np.zeros(x.shape)
+        if np.count_nonzero(newton):
             R = rows[:, newton]
             hess = (R.T * curv) @ R
             # a ridge keeps the step finite where H is singular (equal columns, N < K)
-            hess.flat[:: len(hess) + 1] += HESS_RIDGE * hess.diagonal().max() + np.finfo(float).tiny
+            diagonal = hess.reshape(-1)[:: len(hess) + 1]
+            diagonal += HESS_RIDGE * np.maximum.reduce(diagonal) + _TINY
             d[newton] = -np.linalg.solve(hess, grad[newton])
-        if scaled.any():
+        if np.count_nonzero(scaled):
             diag = curv @ rows[:, scaled] ** 2
-            d[scaled] = -grad[scaled] / np.maximum(diag, np.finfo(float).tiny)
+            d[scaled] = -grad[scaled] / np.maximum(diag, _TINY)
         t = 1.0
         for _ in range(LINE_SEARCH_HALVINGS):
-            x_new = np.clip(x + t * d, lower, upper)
-            f_new, grad_new, curv_new = _newton_terms(rows, x_new)
+            x_new = _clip(x + (d if t == 1.0 else t * d), lower, upper)
+            f_new, u_new, lam_new = _newton_terms(rows, x_new)
             slope = min(0.0, float(grad @ (x_new - x)))
             if f_new <= f + ARMIJO_SLOPE * slope + F_ROUNDOFF * abs(f):
                 break
             t *= 0.5
         else:
             break  # no descent left at double precision
-        x, f, grad, curv = x_new, f_new, grad_new, curv_new
+        x, f, u, lam = x_new, f_new, u_new, lam_new
+        grad = -(lam @ rows)
         bound = max(bound, _box_bound(f, grad, x, lower, upper))
-    if not np.isfinite(bound):
+    if not math.isfinite(bound):
         bound = -np.inf
     return x, bound

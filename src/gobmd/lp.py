@@ -125,7 +125,7 @@ class LpProblem:
         for (name, a), shape in zip(arrays.items(), ((m,), (m, K), (m,), (K,), (K,))):
             if a.shape != shape:
                 raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
-        if not np.all(arrays["x_lower"] <= arrays["x_upper"]):
+        if not (arrays["x_lower"] <= arrays["x_upper"]).all():
             raise ValueError("x_lower must be <= x_upper elementwise")
         if m and not (0 <= arrays["row_w"].min() and arrays["row_w"].max() < self.n_w):
             raise ValueError("row references a w index out of range")
@@ -163,12 +163,7 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None) -> LpSolution:
     m, K, N = p.n_rows, p.n_x, p.n_w
     max_iter = MAX_ITER_PER_COLUMN * (K + N + m)
     core = _DualSimplex(p)
-    cold_vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
-    cold_vstat[K + N :] = BASIC
-    starts = ((_warm_start(p, warm), _cached_inverse(p, warm)), ((K + N + np.arange(m), cold_vstat), None))
-    for start, inverse in starts:
-        if start is None:
-            continue
+    for start, inverse in _starts(p, warm):
         core.start_inverse = inverse
         try:
             status, iters = core.run(*start, max_iter)
@@ -213,6 +208,21 @@ def _cached_inverse(p: LpProblem, warm: BasisToken | None):
     return None if warm is None or warm.row_coef is not p.row_coef else warm.binv
 
 
+def _starts(p: LpProblem, warm: BasisToken | None):
+    """The (basis, vstat) starts to try in turn, each with its known inverse or None.
+
+    The warm start, if the token gives one, then the all-slack cold start,
+    which is built only when the warm run did not end optimal.
+    """
+    start = _warm_start(p, warm)
+    if start is not None:
+        yield start, _cached_inverse(p, warm)
+    m, K, N = p.n_rows, p.n_x, p.n_w
+    vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
+    vstat[K + N :] = BASIC
+    yield (K + N + np.arange(m), vstat), None
+
+
 def _warm_start(p: LpProblem, warm: BasisToken | None):
     """(basis, vstat) from a compatible token, the new rows' slacks basic; None without one."""
     m, K, N = p.n_rows, p.n_x, p.n_w
@@ -223,12 +233,13 @@ def _warm_start(p: LpProblem, warm: BasisToken | None):
     basis = np.empty(m, dtype=int)
     basis[:m_old] = warm.basis
     basis[m_old:] = np.arange(n_old, K + N + m)
-    vstat = np.full(K + N + m, BASIC, dtype=np.int8)
+    vstat = np.empty(K + N + m, dtype=np.int8)
     vstat[:n_old] = warm.vstat
+    vstat[n_old:] = BASIC
     vstat[basis] = BASIC
-    # only x columns have a finite upper bound to sit at
-    at_upper = np.flatnonzero(vstat == AT_UPPER)
-    if np.all(at_upper < K) and len(np.unique(basis)) == m:
+    # only x columns have a finite upper bound to sit at, and no column is basic in two rows
+    sorted_basis = np.sort(basis)
+    if (vstat[K:] != AT_UPPER).all() and (sorted_basis[1:] != sorted_basis[:-1]).all():
         return basis, vstat
     return None
 
@@ -260,12 +271,15 @@ class _DualSimplex:
         self.row_w, self.coef, self.b = p.row_w, p.row_coef, p.row_off
         self.c = np.zeros(self.n)
         self.c[K : K + N] = 1.0
-        self.l = np.concatenate([p.x_lower, np.zeros(N + m)])
-        self.u = np.concatenate([p.x_upper, np.full(N + m, np.inf)])
+        self.l = np.zeros(self.n)
+        self.l[:K] = p.x_lower
+        self.u = np.full(self.n, np.inf)
+        self.u[:K] = p.x_upper
         self.fixed = self.u - self.l <= 0.0  # can never leave their bound
         # rows grouped by their w, for the w columns of A
         self.w_order = np.argsort(p.row_w, kind="stable")
-        self.w_start = np.concatenate([[0], np.cumsum(np.bincount(p.row_w, minlength=N))])
+        self.w_start = np.zeros(N + 1, dtype=int)
+        np.add.accumulate(np.bincount(p.row_w, minlength=N), out=self.w_start[1:])
         self.kind_edges = np.array([K, K + N])  # column kinds x, w, slack start at 0, K, K + N
         self.start_inverse = None  # B^-1 of the next run's starting basis, if already known
 
@@ -285,6 +299,8 @@ class _DualSimplex:
             return -(self.Binv @ self.coef[:, q])
         if q < K + N:
             rows = self.w_order[self.w_start[q - K] : self.w_start[q - K + 1]]
+            if len(rows) == 1:
+                return self.Binv[:, rows[0]].copy()  # the sum of one column is that column
             return self.Binv[:, rows].sum(axis=1)
         return -self.Binv[:, q - K - N]
 
@@ -400,24 +416,28 @@ class _DualSimplex:
         w_ids = cols[p : p + n_w] - K
         s_rows = cols[p + n_w :] - (K + N)
 
-        tight = np.ones(m, dtype=bool)
+        # 1-D index arrays: a.nonzero()[0] is np.flatnonzero(a) without its ravel
+        tight = np.empty(m, dtype=bool)
+        tight.fill(True)
         tight[s_rows] = False
-        tight_rows = np.flatnonzero(tight)
-        key_of = np.full(N, m)  # first tight row of each w; m where it has none
+        tight_rows = tight.nonzero()[0]
+        key_of = np.empty(N, dtype=int)  # first tight row of each w; m where it has none
+        key_of.fill(m)
         np.minimum.at(key_of, self.row_w[tight_rows], tight_rows)
         keys = key_of[w_ids]
-        if (keys == m).any():
+        if np.count_nonzero(keys == m):
             raise SingularBasisError("basic w column without a tight row")
-        basic_key = np.full(N, -1)
+        basic_key = np.empty(N, dtype=int)
+        basic_key.fill(-1)
         basic_key[w_ids] = keys
         row_key = basic_key[self.row_w]  # key row of the row's w if that w is basic, else -1
-        keyed = np.flatnonzero(row_key >= 0)
+        keyed = (row_key >= 0).nonzero()[0]
 
-        Cx = self.coef[:, x_cols]
+        Cx = self.coef.take(x_cols, axis=1)
         C = -Cx  # row t of the eliminated system, in the basic x only
         C[keyed] += Cx[row_key[keyed]]
         tight[keys] = False
-        work_rows = np.flatnonzero(tight)
+        work_rows = tight.nonzero()[0]
         if len(work_rows) != p:
             raise SingularBasisError("working matrix is not square")
         W = C[work_rows]
@@ -433,22 +453,25 @@ class _DualSimplex:
         YT = np.zeros((m, p))
         YT[work_rows] = Winv.T
         work_keys = row_key[work_rows]
-        has_key = work_keys >= 0
-        if has_key.any():
+        has_key = (work_keys >= 0).nonzero()[0]
+        if len(has_key):
             np.subtract.at(YT, work_keys[has_key], Winv.T[has_key])
         F = np.empty((m, p))
         F[x_pos] = np.eye(p)
         F[w_pos] = Cx[keys]
         F[s_pos] = C[s_rows]
-        Binv = (YT @ F.T).T  # column-major
-        Binv[w_pos, keys] += 1.0
-        Binv[s_pos, s_rows] -= 1.0
+        BinvT = YT @ F.T
+        # the entries of L, through the product, a new row-major array whose
+        # reshape is a view: Binv[i, j] is flat[j * m + i]
+        flat = BinvT.reshape(-1)
+        flat[keys * m + w_pos] += 1.0
+        flat[s_rows * m + s_pos] -= 1.0
         s_keys = row_key[s_rows]
-        has_key = s_keys >= 0
-        Binv[s_pos[has_key], s_keys[has_key]] += 1.0
-        if not np.isfinite(Binv).all():
+        has_key = (s_keys >= 0).nonzero()[0]
+        flat[s_keys[has_key] * m + s_pos[has_key]] += 1.0
+        if not np.isfinite(flat).all():
             raise SingularBasisError("non-finite basis inverse")
-        self.Binv = Binv
+        self.Binv = BinvT.T  # column-major
         self._values()
 
     def _values(self):

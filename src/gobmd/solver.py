@@ -384,7 +384,8 @@ class _TreeSearch:
 def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> SolveReport:
     """Branch-and-bound with embedded cut generation; certifies a global minimum."""
     search = _TreeSearch(instance, opts or SolverOptions(), generate_cuts=True)
-    status = search.run(x_start=zero_forcing(instance))
+    # the seed cuts' shared anchor is the zero-forcing point; a copy, as the report hands it out
+    status = search.run(x_start=search.pool.cuts[0].point.copy())
     return search.report(
         "gobmd",
         status,

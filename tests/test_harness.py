@@ -97,6 +97,22 @@ def test_ber_summary_rows():
         assert 0.0 <= row["mean_ber"] <= 1.0
 
 
+def test_records_leave_counters_a_detector_does_not_keep_empty():
+    res = run_experiment(small_cfg(detectors=["gobmd", "incremental", "exhaustive", "zf"], trials=2))
+    counters = ("nodes", "cuts", "ratio_s_over_c", "ties")
+    for row in res.records:
+        got = {c: row[c] for c in counters}
+        if row["detector"] == "zf":
+            assert got == dict.fromkeys(counters)
+        elif row["detector"] == "exhaustive":
+            # the oracle evaluates every sign vector and adds no cut
+            assert (got["nodes"], got["cuts"], got["ratio_s_over_c"]) == (2 ** (2 * row["k_users"]), None, None)
+            assert type(got["ties"]) is int and got["ties"] >= 1
+        else:
+            assert type(got["nodes"]) is int and type(got["cuts"]) is int and got["cuts"] >= 0
+            assert isinstance(got["ratio_s_over_c"], float) and got["ties"] is None
+
+
 def test_reproducibility():
     a = run_experiment(small_cfg())
     b = run_experiment(small_cfg())

@@ -635,3 +635,37 @@ def test_relaxation_cutoff_leaves_the_search_unchanged(monkeypatch):
         assert np.array_equal(rep.x_star, full.x_star) and rep.objective == full.objective
         for name in ("nodes_processed", "lp_solves", "bound_prunes", "cuts_added", "lower_bound", "bound_history"):
             assert getattr(rep, name) == getattr(full, name), name
+
+
+def test_relaxation_without_descent_returns_the_clipped_start(monkeypatch):
+    rng = np.random.default_rng(94)
+    runs = []
+    for case in range(10):
+        ctx = LossContext.from_instance(generate_instance(GenConfig(12, 5, 10.0, 4000), trial=case))
+        lower, upper = _random_box(rng, ctx.k)
+        x0 = rng.uniform(-2.0, 2.0, ctx.k)
+        x_start, start = box_relaxation(ctx, lower, upper, x0, cutoff=-np.inf)  # stops at the start
+        assert box_relaxation(ctx, lower, upper, x0)[1] > start  # so the Newton loop is entered from it
+        runs.append((ctx, lower, upper, x0, x_start, start))
+    # with no halving allowed, every line search is exhausted before its first trial
+    monkeypatch.setattr(gobmd.loss, "LINE_SEARCH_HALVINGS", 0)
+    calls = []
+    newton_terms = gobmd.loss._newton_terms
+    monkeypatch.setattr(gobmd.loss, "_newton_terms", lambda *a: calls.append(1) or newton_terms(*a))
+    for ctx, lower, upper, x0, x_start, start in runs:
+        calls.clear()
+        x, bound = box_relaxation(ctx, lower, upper, x0)
+        assert len(calls) == 1  # f at the start only: no trial point was evaluated
+        assert np.array_equal(x, np.clip(x0, lower, upper)) and np.array_equal(x, x_start)
+        assert bound == start
+
+
+def test_relaxation_bound_is_minus_inf_where_f_overflows():
+    # margins of -5e199 at the start: log Phi is -inf there, so f and its bound are not finite
+    ctx = LossContext(np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]]), np.array([-1.0, -1.0, 1.0]), 1.0)
+    lower, upper = np.full(2, -1.0), np.full(2, 1.0)
+    for x0 in (np.array([0.5, 0.5]), np.array([3.0, 0.25])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, bound = box_relaxation(ctx, lower, upper, x0)
+        assert np.all((lower <= x) & (x <= upper))
+        assert bound == -np.inf
