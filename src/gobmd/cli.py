@@ -137,6 +137,16 @@ def _resolve(args, defaults: dict) -> dict:
     return resolved
 
 
+def _check_out_path(key: str, path) -> None:
+    """Refuse an output path that cannot be written, so no command runs only to fail when it writes."""
+    if not isinstance(path, (str, type(None))):
+        raise ValueError(f"{key} must be a path string, got {path!r}")
+    if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ValueError(f"{key} must be a path in an existing directory, got {path!r}")
+    if path is not None and os.path.isdir(path):
+        raise ValueError(f"{key} must be a file path, not a directory, got {path!r}")
+
+
 def _cmd_experiment(args) -> int:
     defaults = {s.key: s.default for s in _sweep_settings(SWEEPS[args.experiment])}
     resolved = _resolve(args, {**defaults, **dict.fromkeys(_SOLVER_KEYS)})
@@ -147,14 +157,7 @@ def _cmd_experiment(args) -> int:
     if resolved["format"] not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {resolved['format']!r}")
     for key in ("out", "records_out"):
-        path = resolved[key]
-        if not isinstance(path, (str, type(None))):
-            raise ValueError(f"{key} must be a path string, got {path!r}")
-        # checked here, so a sweep never runs only to fail when it writes its results
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"{key} must be a path in an existing directory, got {path!r}")
-        if path is not None and os.path.isdir(path):
-            raise ValueError(f"{key} must be a file path, not a directory, got {path!r}")
+        _check_out_path(key, resolved[key])
     # a setting the sweep does not take leaves its field None
     cfg = ExperimentConfig(
         experiment=args.experiment,
@@ -178,6 +181,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    _check_out_path("out", args.out)
     instance = load_instance(args.in_path)
     doc = DETECTORS[args.detector](instance, _solver_options(vars(args)))
     text = json.dumps(doc, indent=2)
@@ -190,6 +194,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_out_path("out", args.out)
     cfg = GenConfig(args.n_ant, args.k_users, args.snr, args.seed)
     instance = generate_instance(cfg, args.trial)
     save_instance(instance, args.out)

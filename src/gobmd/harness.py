@@ -121,7 +121,7 @@ def _baseline_report(method: str, status: str, detect, instance: RealInstance, o
         "objective": f_obj(LossContext.from_instance(instance), x),
         **counters,
         "wall_time": wall,
-        "options": opts.to_dict(),
+        "options": asdict(opts),
     }
 
 
@@ -346,9 +346,3 @@ def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict 
         write_atomically(path, text)
     except OSError as e:
         raise OSError(f"failed writing results to {path}: {e}") from e
-
-
-def strip_wall_time(rows: list[dict]) -> list[dict]:
-    """Rows with timing fields removed, for determinism comparisons."""
-    drop = {"wall_time", "mean_wall_time", "median_wall_time"}
-    return [{k: v for k, v in row.items() if k not in drop} for row in rows]

@@ -100,13 +100,9 @@ class LossContext:
     def from_instance(cls, instance) -> "LossContext":
         return cls(instance.H, instance.r, instance.sigma)
 
-    def margins(self, x: np.ndarray) -> np.ndarray:
-        """The N scaled inner products r_i h_i^T x / sigma."""
-        return self.rows @ x
-
     def g_all(self, x: np.ndarray) -> np.ndarray:
-        """All per-row losses g_i(x) at once."""
-        return -log_ncdf(self.margins(x))
+        """All per-row losses g_i(x) at once, from the N margins r_i h_i^T x / sigma."""
+        return -log_ncdf(self.rows @ x)
 
 
 def g_eval(ctx: LossContext, i: int, x: np.ndarray) -> float:

@@ -163,8 +163,7 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None) -> LpSolution:
     m, K, N = p.n_rows, p.n_x, p.n_w
     max_iter = MAX_ITER_PER_COLUMN * (K + N + m)
     core = _DualSimplex(p)
-    for start, inverse in _starts(p, warm):
-        core.start_inverse = inverse
+    for start in _starts(p, warm):
         try:
             status, iters = core.run(*start, max_iter)
         except SingularBasisError:
@@ -203,24 +202,20 @@ def crash_start(p: LpProblem) -> BasisToken:
     return BasisToken(basis, vstat, K, N)
 
 
-def _cached_inverse(p: LpProblem, warm: BasisToken | None):
-    """The token's basis inverse when ``p`` holds the very row array it was solved on, else None."""
-    return None if warm is None or warm.row_coef is not p.row_coef else warm.binv
-
-
 def _starts(p: LpProblem, warm: BasisToken | None):
-    """The (basis, vstat) starts to try in turn, each with its known inverse or None.
+    """The (basis, vstat, inverse) starts to try in turn; inverse is that basis's B^-1, or None.
 
-    The warm start, if the token gives one, then the all-slack cold start,
-    which is built only when the warm run did not end optimal.
+    The warm start, if the token gives one, with the token's inverse exactly
+    when ``p`` holds the very row array it was solved on; then the all-slack
+    cold start, which is built only when the warm run did not end optimal.
     """
     start = _warm_start(p, warm)
     if start is not None:
-        yield start, _cached_inverse(p, warm)
+        yield *start, warm.binv if warm.row_coef is p.row_coef else None
     m, K, N = p.n_rows, p.n_x, p.n_w
     vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
     vstat[K + N :] = BASIC
-    yield (K + N + np.arange(m), vstat), None
+    yield K + N + np.arange(m), vstat, None
 
 
 def _warm_start(p: LpProblem, warm: BasisToken | None):
@@ -281,7 +276,6 @@ class _DualSimplex:
         self.w_start = np.zeros(N + 1, dtype=int)
         np.add.accumulate(np.bincount(p.row_w, minlength=N), out=self.w_start[1:])
         self.kind_edges = np.array([K, K + N])  # column kinds x, w, slack start at 0, K, K + N
-        self.start_inverse = None  # B^-1 of the next run's starting basis, if already known
 
     def _yA(self, y):
         """y @ A over all columns."""
@@ -304,18 +298,19 @@ class _DualSimplex:
             return self.Binv[:, rows].sum(axis=1)
         return -self.Binv[:, q - K - N]
 
-    def run(self, basis, vstat, max_iter):
+    def run(self, basis, vstat, inverse, max_iter):
+        """Dual simplex from (basis, vstat), starting from ``inverse`` as its B^-1 if given, else a refactor."""
         self.pivots = 0  # what a run cut short by SingularBasisError reports as its iterations
         self.basis = np.array(basis, dtype=int)
         self.vstat = np.array(vstat, dtype=np.int8)
         self.sgn = np.where(self.vstat == AT_UPPER, -1.0, 1.0)
         self.sgn[(self.vstat == BASIC) | self.fixed] = 0.0
         self.lb, self.ub = self.l[self.basis], self.u[self.basis]
-        if self.start_inverse is None:
+        if inverse is None:
             self._refactor()
         else:
             # a copy: the rank-1 update writes in place, and a sibling shares the token's array
-            self.Binv = self.start_inverse.copy(order="F")
+            self.Binv = inverse.copy(order="F")
             self._values()
         if (self.sgn * self.d < -DUAL_TOL).any():
             # not dual feasible: the method would stop at a point that is not optimal

@@ -40,9 +40,6 @@ class SolverOptions:
         if t is not None and (type(t) is bool or not isinstance(t, (int, float)) or not 0 < t < math.inf):
             raise ValueError(f"time_limit must be a finite number > 0, got {t!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class CutPool:
     """The active tangent set S, deduplicated over (row, anchor) pairs.
@@ -148,9 +145,8 @@ def select_branch_var(point: np.ndarray, free: np.ndarray) -> int:
     return int(np.argmin(np.where(free, np.abs(point), np.inf)))
 
 
-def initial_cuts(instance: RealInstance, ctx: LossContext | None = None) -> CutPool:
+def initial_cuts(instance: RealInstance, ctx: LossContext) -> CutPool:
     """Seed pool: one tangent per observation, all anchored at the zero-forcing point."""
-    ctx = ctx or LossContext.from_instance(instance)
     x_zf = zero_forcing(instance)
     pool = CutPool(ctx.n, ctx.k)
     for cut in make_cuts(ctx, range(ctx.n), x_zf):
@@ -376,7 +372,7 @@ class _TreeSearch:
             pool_size=len(self.pool),
             pool_capacity=self.pool.capacity,
             wall_time=time.perf_counter() - self.t0,
-            options=self.opts.to_dict(),
+            options=asdict(self.opts),
             **outcome,
         )
 

@@ -12,11 +12,12 @@ import pytest
 
 from gobmd.baselines import exhaustive_search
 from gobmd.cli import main
-from gobmd.harness import ExperimentConfig, run_experiment, strip_wall_time
+from gobmd.harness import ExperimentConfig, run_experiment
 from gobmd.loss import LossContext, g_eval, g_grad, inv_mills, log_ncdf, make_cut
 from gobmd.lp import LpProblem, certificate, solve_lp
 from gobmd.model import GenConfig, generate_instance
 from gobmd.solver import SolverOptions, initial_cuts, solve_gobmd, solve_incremental
+from test_harness import strip_wall_time
 from test_lp import add_rows
 
 

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gobmd.cli
 import gobmd.lp
 from gobmd.cli import build_parser, main
-from gobmd.model import RealInstance, save_instance
+from gobmd.model import RealInstance, save_instance, write_atomically
 
 
 def _gen(tmp_path, name="inst.json", n_ant=6, k=2, snr=10.0, seed=3):
@@ -235,16 +236,41 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert "error: " + str(p) + ": field 'H' must be a list of numbers" in capsys.readouterr().err
     assert main(["solve", "--in", str(tmp_path / "missing.json")]) == 1
     assert "io error:" in capsys.readouterr().err
-    # the report cannot be written: nothing is left behind, not even the temporary file
+    # the report cannot be written: refused before the solve, and nothing is left behind
     inst = _gen(tmp_path)
+    capsys.readouterr()
     out = tmp_path / "no-such-dir" / "report.json"
     assert main(["solve", "--in", inst, "--out", str(out)]) == 1
-    assert "io error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: out must be a path in an existing directory" in captured.err and captured.out == ""
     assert not out.parent.exists()
-    out.parent.mkdir()  # a directory where the report should go: the rename over it fails
+    out.parent.mkdir()  # a directory where the report should go
     assert main(["solve", "--in", inst, "--out", str(out.parent)]) == 1
-    assert "io error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error: out must be a file path, not a directory" in captured.err and captured.out == ""
+    # a write whose rename over a directory fails removes its temporary file
+    with pytest.raises(OSError):
+        write_atomically(str(out.parent), "{}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "inst.json", "no-such-dir"]
+
+
+def test_solve_and_gen_refuse_an_unwritable_out_before_they_run(tmp_path, capsys, monkeypatch):
+    inst = _gen(tmp_path)
+
+    def must_not_run(*args):
+        raise AssertionError("ran before its --out was checked")
+
+    monkeypatch.setattr(gobmd.cli, "load_instance", must_not_run)
+    monkeypatch.setattr(gobmd.cli, "generate_instance", must_not_run)
+    gen = ["gen", "--n-ant", "6", "--k-users", "2", "--snr", "10", "--seed", "3"]
+    for out, message in ((tmp_path / "missing" / "r.json", "a path in an existing directory"),
+                         (tmp_path, "a file path, not a directory")):
+        for argv in (["solve", "--in", inst, "--out", str(out)], [*gen, "--out", str(out)]):
+            capsys.readouterr()
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"error: out must be {message}" in captured.err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
 def test_missing_required_flag_exits_1(capsys):
@@ -389,6 +415,14 @@ def test_experiment_determinism(tmp_path):
         assert rc == 0
         outs.append(Path(out).read_text())
     assert outs[0] == outs[1]  # summary tables carry no wall-time columns
+
+
+def test_readme_library_block_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "gobmd" and doc["status"] == "optimal"
 
 
 def test_readme_cli_block_parses():

@@ -9,8 +9,14 @@ import pytest
 import scipy
 
 from gobmd import harness
-from gobmd.harness import BLAS_THREAD_VARS, ExperimentConfig, run_experiment, strip_wall_time, write_results
+from gobmd.harness import BLAS_THREAD_VARS, ExperimentConfig, run_experiment, write_results
 from gobmd.solver import SolverOptions
+
+
+def strip_wall_time(rows: list[dict]) -> list[dict]:
+    """Rows with timing fields removed, for determinism comparisons."""
+    drop = {"wall_time", "mean_wall_time", "median_wall_time"}
+    return [{k: v for k, v in row.items() if k not in drop} for row in rows]
 
 
 def small_cfg(**kw):

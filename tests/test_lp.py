@@ -454,7 +454,7 @@ def test_warm_basis_with_keyless_w_restarts_cold():
     vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
     vstat[basis] = BASIC
     with pytest.raises(SingularBasisError):
-        lp._DualSimplex(p).run(basis, vstat, 100)
+        lp._DualSimplex(p).run(basis, vstat, None, 100)
     sol = solve_lp(p, warm=BasisToken(basis, vstat, K, N))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-9)
@@ -582,8 +582,9 @@ def test_cached_inverse_is_exact(monkeypatch):
     # must follow the same pivots to the same bytes.
     reused = 0
     for p, warm in recorded_node_lps(monkeypatch):
-        if lp._cached_inverse(p, warm) is None:
+        if warm is None or warm.row_coef is not p.row_coef or warm.binv is None:
             continue
+        assert next(lp._starts(p, warm))[2] is warm.binv  # the warm start carries the token's inverse
         reused += 1
         a = solve_lp(p, warm)
         b = solve_lp(p, replace(warm, binv=None))
@@ -612,11 +613,40 @@ def test_cached_inverse_is_dropped_when_rows_are_added(monkeypatch):
         assert tok.binv is not None and not tok.binv.flags.writeable
         extra = [(int(rng.integers(0, p.n_w)), rng.standard_normal(p.n_x), 0.5) for _ in range(3)]
         p2 = add_rows(p, extra)
-        assert lp._cached_inverse(p2, tok) is None
+        assert p2.row_coef is not tok.row_coef and next(lp._starts(p2, tok))[2] is None
         refactors = 0
         sol = solve_lp(p2, tok)
         assert refactors >= 1
         assert sol.status == "optimal" and certificate(p2, sol)["ok"]
+
+
+def test_equal_rows_in_another_array_refactor(monkeypatch):
+    # identity decides reuse, not equality: a copy of the token's rows holds the
+    # same values but is another array, so the solve refactors, and that refactor
+    # of the token's optimal basis gives the token solve's point again
+    refactors = 0
+    refactor = lp._DualSimplex._refactor
+
+    def counting(core):
+        nonlocal refactors
+        refactors += 1
+        refactor(core)
+
+    monkeypatch.setattr(lp._DualSimplex, "_refactor", counting)
+    rng = np.random.default_rng(45)
+    for case in range(20):
+        p = pool_problem(rng, case)
+        sol = solve_lp(p)
+        tok = sol.basis
+        copied = replace(p, row_coef=p.row_coef.copy())
+        assert copied.row_coef is not tok.row_coef and np.array_equal(copied.row_coef, tok.row_coef)
+        for q, want_refactors in ((p, 0), (copied, 1)):
+            refactors = 0
+            again = solve_lp(q, tok)
+            assert refactors == want_refactors
+            assert again.status == "optimal" and again.iterations == 0
+            assert repr(again.objective) == repr(sol.objective)
+            assert again.x.tobytes() == sol.x.tobytes() and again.w.tobytes() == sol.w.tobytes()
 
 
 def test_token_from_other_rows_never_gives_a_wrong_optimum():
@@ -629,7 +659,7 @@ def test_token_from_other_rows_never_gives_a_wrong_optimum():
         p = pool_problem(rng, case)
         tok = solve_lp(p).basis
         shifted = replace(p, row_coef=p.row_coef + 0.25)
-        assert lp._cached_inverse(shifted, tok) is None
+        assert shifted.row_coef is not tok.row_coef and next(lp._starts(shifted, tok))[2] is None
         warm, cold = solve_lp(shifted, tok), solve_lp(shifted)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, abs=1e-8)
@@ -688,7 +718,7 @@ def test_crash_start_is_dual_feasible_and_solves():
         seen["several rows per w"] += bool(np.any(np.bincount(p.row_w, minlength=N) > 1))
         seen["w without rows"] += bool(np.any(np.bincount(p.row_w, minlength=N) == 0))
         # the dual simplex reaches the optimum from the crash start itself, not by the cold retry
-        status, _ = lp._DualSimplex(p).run(tok.basis, tok.vstat, 50 * (K + N + m))
+        status, _ = lp._DualSimplex(p).run(tok.basis, tok.vstat, None, 50 * (K + N + m))
         assert status == "optimal"
         sol = solve_lp(p, tok)
         assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-7)

@@ -36,11 +36,11 @@ def _instance(H, r, sigma=1.0):
 def test_initial_cuts_identity_channel():
     r = np.array([1.0, -1.0, 1.0, 1.0])
     inst = _instance(np.eye(4), r)
-    pool = initial_cuts(inst)
+    ctx = LossContext.from_instance(inst)
+    pool = initial_cuts(inst, ctx)
     assert len(pool) == 4
     x_zf = quantize_one_bit(least_squares(inst.H, inst.r))
     assert np.array_equal(x_zf, r)
-    ctx = LossContext.from_instance(inst)
     for cut in pool.cuts:
         val = cut.grad @ cut.point + cut.offset
         assert val == pytest.approx(float(ctx.g_all(cut.point)[cut.row]), rel=1e-12)
@@ -48,7 +48,7 @@ def test_initial_cuts_identity_channel():
 
 def test_initial_pool_ratio():
     inst = generate_instance(GenConfig(18, 4, 10.0, 8))
-    pool = initial_cuts(inst)
+    pool = initial_cuts(inst, LossContext.from_instance(inst))
     assert len(pool) == 36
     assert pool.capacity == 36 * 2**8
     # the solve adds no cut, so its report reads the seed pool's |S|/|C|
@@ -449,9 +449,9 @@ def test_failed_warm_node_lp_is_retried_cold(monkeypatch, status):
             warm_bases.append(start[0])
         return start
 
-    def warm_fails(core, basis, vstat, max_iter):
+    def warm_fails(core, basis, vstat, inverse, max_iter):
         warm_runs.append(bool(warm_bases) and basis is warm_bases[-1])
-        result = run(core, basis, vstat, max_iter)
+        result = run(core, basis, vstat, inverse, max_iter)
         if not warm_runs[-1]:
             return result
         if status == "numerical-failure":
@@ -525,7 +525,8 @@ def test_options_validation():
     for bad in ("2", 0, 0.0, -1.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match="time_limit"):
             SolverOptions(time_limit=bad)
-    assert SolverOptions(node_limit=3, time_limit=2).to_dict() == {"node_limit": 3, "time_limit": 2}
+    rep = solve_gobmd(generate_instance(GenConfig(4, 2, 10.0, 1)), SolverOptions(node_limit=3, time_limit=2))
+    assert rep.options == rep.to_dict()["options"] == {"node_limit": 3, "time_limit": 2}
 
 
 def _random_box(rng, k):

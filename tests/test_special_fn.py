@@ -269,7 +269,7 @@ def test_make_cuts_match_per_row_cuts_in_both_tails():
     targets = np.concatenate([np.arange(-60.0, -30.0, 3.0), np.arange(-30.0, 8.0, 1.75), np.arange(8.25, 40.0, 4.5)])
     parts = np.round(4.0 * targets[:, None] * rng.dirichlet(np.ones(4), targets.size)) / 4.0
     ctx = _ctx(parts * point)
-    margins = ctx.margins(point)
+    margins = ctx.rows @ point
     assert margins.min() < -30.0 and margins.max() > 8.0
     rows = rng.permutation(ctx.n)
     cuts = make_cuts(ctx, rows, point)
