@@ -14,18 +14,20 @@ alone can be checked by running this script at both commits. Sets:
   node-limited  GenConfig(18, 4, 10.0, 4000), trials 0-5, each with
                 node_limit 1, 3, 10 and 30
 
-Each such line is: solver, set, number of solves, SHA-256.
+Each such line is: solver, set, number of solves, SHA-256; 4 search hashes
+in all.
 
-Then one line per CLI output, ``cli``, its name and its SHA-256, from
-``gobmd.cli.main`` run in this process in a temporary directory:
+Then 42 CLI hashes, one line per CLI output, ``cli``, its name and its
+SHA-256, from ``gobmd.cli.main`` run in this process in a temporary
+directory:
 
-  gen           the instance file and the exit code with stdout
+  gen           the instance file and the exit code with stdout (2)
   solve-*       each detector on that instance, with and without
                 ``--node-limit 2``: the ``--out`` file and the exit code
-                with stdout
+                with stdout (16)
   ber-*, runtime-*, ratio-*, phase-*
                 each sweep over all four detectors, in CSV and in JSON: the
-                summary, the records and the exit code with stdout
+                summary, the records and the exit code with stdout (24)
 
 Before hashing, the temporary directory's path reads ``<tmp>``, and the
 values of ``wall_time``, ``mean_wall_time`` and ``median_wall_time`` read

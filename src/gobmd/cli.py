@@ -139,8 +139,8 @@ def _resolve(args, defaults: dict) -> dict:
 
 def _check_out_path(key: str, path) -> None:
     """Refuse an output path that cannot be written, so no command runs only to fail when it writes."""
-    if not isinstance(path, (str, type(None))):
-        raise ValueError(f"{key} must be a path string, got {path!r}")
+    if path == "" or not isinstance(path, (str, type(None))):
+        raise ValueError(f"{key} must be a non-empty path string, got {path!r}")
     if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
         raise ValueError(f"{key} must be a path in an existing directory, got {path!r}")
     if path is not None and os.path.isdir(path):

@@ -29,7 +29,7 @@ from . import __version__
 from .baselines import exhaustive_search, zero_forcing
 from .loss import LossContext, f_obj
 from .model import (
-    RNG_IDENTITY, GenConfig, RealInstance, bit_error_rate, format_double, generate_instance, write_atomically,
+    RNG_IDENTITY, GenConfig, RealInstance, bit_error_rate, generate_instance, write_atomically,
 )
 from .solver import SolverOptions, solve_gobmd, solve_incremental
 
@@ -77,6 +77,9 @@ class ExperimentConfig:
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has repeated values: {values}")
         self.snr_db = [float(v) for v in self.snr_db]  # JSON 10 and 10.0 are one SNR, written as a double
+        for k in self.k_users:
+            for snr in self.snr_db:
+                GenConfig(k, k, snr, 0)  # refuses an SNR the calibration cannot take, before any trial runs
         # the field the sweep does not read stays None, so the metadata never records an ignored value
         unused = "n_antennas" if sweep.takes_ratios else "ratios"
         if getattr(self, unused) is not None:
@@ -297,35 +300,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Result persistence: CSV with 17-significant-digit doubles, JSON mirroring the
-# same rows plus a metadata block. Writes are atomic (``model.write_atomically``).
-
-
-def _json17(o, level: int = 0) -> str:
-    """JSON text laid out as ``json.dumps(o, indent=1)``, with doubles at 17 significant digits."""
-    if isinstance(o, float):
-        return format_double(o)  # rejects non-finite values
-    if isinstance(o, dict):
-        brackets = "{}"
-        keys = [k if isinstance(k, str) else _json17(k) for k in o]  # as json does: 1.5 -> "1.5"
-        items = [f"{json.dumps(k)}: {_json17(v, level + 1)}" for k, v in zip(keys, o.values())]
-    elif isinstance(o, (list, tuple)):
-        brackets = "[]"
-        items = [_json17(v, level + 1) for v in o]
-    else:
-        return json.dumps(o)  # str, int, bool, None; anything else raises TypeError
-    if not items:
-        return brackets
-    pad = "\n" + " " * (level + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * level + brackets[1]
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format_double(v)
-    return str(v)
+# Result persistence: CSV, and JSON mirroring the same rows plus a metadata
+# block. Both write each double as its shortest repr, which reads back to the
+# same double, and refuse non-finite ones. Writes are atomic
+# (``model.write_atomically``).
 
 
 def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict | None = None):
@@ -334,14 +312,15 @@ def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict 
         raise ValueError(f"unknown format {fmt!r}")
     if fmt == "csv":
         columns = list(rows[0].keys()) if rows else []
+        cells = [[row.get(c) for c in columns] for row in rows]
+        bad = [v for line in cells for v in line if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"cannot write non-finite value {bad[0]}")
         buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        csv.writer(buf).writerows([columns, *cells])  # None is an empty cell
         text = buf.getvalue()
     else:
-        text = _json17({"metadata": metadata or {}, "rows": rows}) + "\n"
+        text = json.dumps({"metadata": metadata or {}, "rows": rows}, indent=1, allow_nan=False) + "\n"
     try:
         write_atomically(path, text)
     except OSError as e:

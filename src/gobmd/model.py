@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -32,6 +33,7 @@ class GenConfig:
             raise ValueError(
                 f"need n_antennas >= n_users >= 1, got {self.n_antennas}, {self.n_users}"
             )
+        _noise_std(self)  # refuses an SNR the calibration cannot take
 
 
 @dataclass
@@ -70,8 +72,8 @@ class RealInstance:
             raise ValueError("H must be finite")
         if not np.all(np.abs(self.r) == 1.0):
             raise ValueError("r entries must be -1 or +1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
         if self.x_true is not None:
             self.x_true = np.asarray(self.x_true, dtype=float)
             if self.x_true.shape != (self.H.shape[1],):
@@ -110,18 +112,31 @@ def quantize_one_bit(y: np.ndarray) -> np.ndarray:
     return np.where(y >= 0.0, 1.0, -1.0)
 
 
-def generate_scene(cfg: GenConfig, trial: int | None = None) -> ComplexScene:
-    """Draw one complex scene: i.i.d. CN(0,1) channel, uniform QPSK symbols.
+def _noise_std(cfg: GenConfig) -> tuple[float, float]:
+    """The complex-domain and real-domain noise standard deviations at ``cfg.snr_db``.
 
     The complex per-entry noise variance is 2*n_users / snr_linear, which makes
-    the expected signal-to-noise energy ratio equal the configured value.
+    the expected signal-to-noise energy ratio equal the configured value; each
+    real entry carries half of it. An SNR whose linear value is not finite and
+    positive, or so small that the noise overflows, is refused.
     """
+    try:
+        snr_lin = 10.0 ** (cfg.snr_db / 10.0)
+        sigma_c = np.sqrt(2.0 * cfg.n_users / snr_lin)  # 0 at an infinite snr_lin, inf at a tiny one
+    except (OverflowError, ZeroDivisionError):  # snr_lin beyond the double range, or 0
+        sigma_c = math.nan
+    if not 0 < sigma_c < math.inf:
+        raise ValueError(f"snr_db must give a finite, positive linear SNR and a finite noise level, got {cfg.snr_db!r}")
+    return sigma_c, np.sqrt(cfg.n_users / snr_lin)
+
+
+def generate_scene(cfg: GenConfig, trial: int | None = None) -> ComplexScene:
+    """Draw one complex scene: i.i.d. CN(0,1) channel, uniform QPSK symbols, noise as ``_noise_std``."""
     rng = _rng(cfg.seed, trial)
     nt, ku = cfg.n_antennas, cfg.n_users
     H_c = (rng.standard_normal((nt, ku)) + 1j * rng.standard_normal((nt, ku))) / np.sqrt(2.0)
     x_c = (2.0 * rng.integers(0, 2, size=ku) - 1.0) + 1j * (2.0 * rng.integers(0, 2, size=ku) - 1.0)
-    snr_lin = 10.0 ** (cfg.snr_db / 10.0)
-    sigma_c = np.sqrt(2.0 * ku / snr_lin)
+    sigma_c = _noise_std(cfg)[0]
     v_c = sigma_c / np.sqrt(2.0) * (rng.standard_normal(nt) + 1j * rng.standard_normal(nt))
     y_c = H_c @ x_c + v_c
     r_c = quantize_one_bit(y_c.real) + 1j * quantize_one_bit(y_c.imag)
@@ -139,9 +154,7 @@ def generate_instance(cfg: GenConfig, trial: int | None = None) -> RealInstance:
     x = stack_complex(scene.x_c)
     v = stack_complex(scene.v_c)
     r = quantize_one_bit(H @ x + v)
-    snr_lin = 10.0 ** (cfg.snr_db / 10.0)
-    sigma = np.sqrt(cfg.n_users / snr_lin)
-    return RealInstance(H=H, r=r, sigma=float(sigma), x_true=x)
+    return RealInstance(H=H, r=r, sigma=float(_noise_std(cfg)[1]), x_true=x)
 
 
 def _rng(seed: int, trial: int | None) -> np.random.Generator:
@@ -161,30 +174,21 @@ def bit_error_rate(x_true: np.ndarray, x_est: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # Instance file format (JSON): n, k, sigma, H row-major, r, optional x_true.
-# Doubles are written with 17 significant digits so reads are bit-exact.
-
-
-def format_double(x: float) -> str:
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x}")
-    return format(float(x), ".17g")
 
 
 def save_instance(instance: RealInstance, path: str) -> None:
-    """Write an instance as JSON; doubles carry 17 significant digits."""
-    parts = [
-        "{",
-        f'  "n": {instance.n},',
-        f'  "k": {instance.k},',
-        f'  "sigma": {format_double(instance.sigma)},',
-        '  "H": [' + ", ".join(format_double(v) for v in instance.H.ravel()) + "],",
-        '  "r": [' + ", ".join(str(int(v)) for v in instance.r) + "]",
-    ]
+    """Write an instance as JSON, one field a line; each double reads back bit for bit."""
+    fields = {
+        "n": instance.n,
+        "k": instance.k,
+        "sigma": instance.sigma,
+        "H": instance.H.ravel().tolist(),
+        "r": [int(v) for v in instance.r],
+    }
     if instance.x_true is not None:
-        parts[-1] += ","
-        parts.append('  "x_true": [' + ", ".join(str(int(v)) for v in instance.x_true) + "]")
-    parts.append("}")
-    write_atomically(path, "\n".join(parts) + "\n")
+        fields["x_true"] = [int(v) for v in instance.x_true]
+    lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v, allow_nan=False)}" for k, v in fields.items())
+    write_atomically(path, "{\n" + lines + "\n}\n")
 
 
 def write_atomically(path: str, text: str) -> None:

@@ -273,6 +273,49 @@ def test_solve_and_gen_refuse_an_unwritable_out_before_they_run(tmp_path, capsys
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
+def test_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    inst = _gen(tmp_path)
+
+    def must_not_run(*args):
+        raise AssertionError("ran before its --out was checked")
+
+    for name in ("load_instance", "generate_instance", "run_experiment"):
+        monkeypatch.setattr(gobmd.cli, name, must_not_run)
+    capsys.readouterr()
+    for argv in (["gen", "--n-ant", "6", "--k-users", "2", "--snr", "10", "--seed", "3", "--out", ""],
+                 ["solve", "--in", inst, "--out", ""],
+                 ["ber", "--n-ant", "6", "--k-users", "2", "--trials", "1", "--out", ""],
+                 ["ber", "--n-ant", "6", "--k-users", "2", "--trials", "1", "--out", "o.csv", "--records-out", ""]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "out must be a non-empty path string, got ''" in captured.err, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+def test_snr_without_a_finite_positive_linear_value_exits_1(tmp_path, capsys):
+    # 10^(snr/10) underflows to 0, overflows, or is so small that the noise overflows
+    out = str(tmp_path / "o")
+    for snr in ("-4000", "-inf", "1e6", "-3200"):
+        argvs = [["gen", "--n-ant", "4", "--k-users", "1", f"--snr={snr}", "--seed", "1", "--out", out],
+                 ["phase", "--k-users", "1", "--ratios", "2", f"--snr=10,{snr}", "--trials", "1", "--out", out]]
+        if snr != "-inf":  # a sweep refuses -inf earlier, as a non-finite value
+            argvs.append(["ber", "--n-ant", "4", "--k-users", "1", f"--snr={snr}", "--trials", "1", "--out", out])
+        for argv in argvs:
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err, argv
+            assert captured.err.startswith("error: snr_db must"), (argv, captured.err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_refuses_an_infinite_sigma(tmp_path, capsys):
+    p = tmp_path / "inf.json"
+    p.write_text('{"n": 2, "k": 1, "sigma": Infinity, "H": [1.0, 2.0], "r": [1, -1]}')
+    assert main(["solve", "--in", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {p}: sigma must be finite and positive, got inf\n"
+
+
 def test_missing_required_flag_exits_1(capsys):
     assert main(["ber", "--n-ant", "6", "--k-users", "2"]) == 1  # no --out
     assert main(["gen", "--n-ant", "4"]) == 1
@@ -373,7 +416,7 @@ def test_negative_value_lists_parse_as_values(tmp_path):
     assert rc == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 1 + 4
-    assert sum(",-5," in row for row in rows) == 2
+    assert sum(",-5.0," in row for row in rows) == 2
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -270,7 +270,29 @@ def test_write_results_csv(tmp_path):
     write_results(rows, path, "csv")
     text = Path(path).read_text().splitlines()
     assert text[0] == "a,b,c,d"
-    assert text[1] == "1,0.10000000000000001,,x"
+    assert text[1] == "1,0.1,,x"
+
+
+def test_write_results_keeps_whole_doubles_doubles(tmp_path):
+    # 10.0 and 0.0 are written as doubles, so they read back as floats, not as JSON ints
+    rows = [{"snr_db": 10.0, "ber": 0.0, "trials": 4}]
+    path = tmp_path / "out.json"
+    write_results(rows, str(path), "json")
+    back = json.loads(path.read_text())["rows"]
+    assert back == rows and [type(v) for v in back[0].values()] == [float, float, int]
+    write_results(rows, str(path), "csv")
+    assert path.read_text().splitlines() == ["snr_db,ber,trials", "10.0,0.0,4"]
+
+
+def test_write_results_refuse_non_finite_doubles(tmp_path):
+    path = tmp_path / "out"
+    for fmt in ("csv", "json"):
+        for v in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                write_results([{"a": 1, "v": v}], str(path), fmt)
+    with pytest.raises(ValueError):  # in the metadata too
+        write_results([], str(path), "json", metadata={"sigma": float("nan")})
+    assert not path.exists() and list(tmp_path.iterdir()) == []
 
 
 def test_write_results_empty_csv(tmp_path):
@@ -307,7 +329,7 @@ def test_write_results_json_layout(tmp_path):
     expected = json.dumps({"metadata": meta, "rows": rows}, indent=1) + "\n"
     assert Path(path).read_text() == expected  # without floats: json.dumps byte for byte
     write_results([{"v": 0.1, "w": -0.0}], path, "json")
-    assert '"v": 0.10000000000000001,' in Path(path).read_text()
+    assert '"v": 0.1,' in Path(path).read_text()
     with pytest.raises(ValueError):  # non-finite doubles are refused
         write_results([{"v": float("nan")}], path, "json")
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,10 @@ def test_snr_calibration():
 def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(2, 3, 10.0, 1)  # fewer antennas than users
+    # linear SNR 0, infinite, NaN, or so small that the noise overflows
+    for snr in (-4000.0, -np.inf, np.inf, np.nan, 1e6, -3200.0):
+        with pytest.raises(ValueError, match="snr_db must give a finite, positive linear SNR"):
+            GenConfig(4, 2, snr, 1)
     with pytest.raises(ValueError):
         GenConfig(0, 0, 10.0, 1)
 
@@ -142,6 +148,9 @@ def test_instance_validation():
         RealInstance(H=H, r=np.array([1.0, 0.0, 1.0]), sigma=1.0)
     with pytest.raises(ValueError):
         RealInstance(H=H, r=np.ones(3), sigma=0.0)
+    for sigma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            RealInstance(H=H, r=np.ones(3), sigma=sigma)
     with pytest.raises(ValueError):
         RealInstance(H=H, r=np.ones(3), sigma=1.0, x_true=np.ones(2))
     cases = (
@@ -166,6 +175,18 @@ def test_instance_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.r, inst.r)
     assert back.sigma == inst.sigma
     assert np.array_equal(back.x_true, inst.x_true)
+
+
+def test_saved_whole_doubles_stay_doubles(tmp_path):
+    inst = RealInstance(H=np.array([[1.0, -2.0], [0.5, 0.0]]), r=np.array([1.0, -1.0]), sigma=2.0,
+                        x_true=np.array([-1.0, 1.0]))
+    path = tmp_path / "inst.json"
+    save_instance(inst, str(path))
+    assert path.read_text() == (
+        '{\n  "n": 2,\n  "k": 2,\n  "sigma": 2.0,\n  "H": [1.0, -2.0, 0.5, 0.0],\n  "r": [1, -1],\n  "x_true": [-1, 1]\n}\n'
+    )
+    raw = json.loads(path.read_text())
+    assert type(raw["sigma"]) is float and all(type(v) is float for v in raw["H"])
 
 
 def test_instance_parse_errors(tmp_path):
