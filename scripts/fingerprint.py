@@ -1,4 +1,4 @@
-"""Fingerprint the branch-and-bound searches and the CLI outputs: one SHA-256 each.
+"""Fingerprint the branch-and-bound searches, the oracle and the CLI outputs: one SHA-256 each.
 
     python3 scripts/fingerprint.py
 
@@ -15,7 +15,10 @@ alone can be checked by running this script at both commits. Sets:
                 node_limit 1, 3, 10 and 30
 
 Each such line is: solver, set, number of solves, SHA-256; 4 search hashes
-in all.
+in all. Then 1 oracle hash in the same layout: ``exhaustive_search`` over the
+fixed set, hashing each result's ``x_opt``, ``repr(objective)``, ``ties`` and
+``n_evaluated``. The benchmark instances have K = 14, so the oracle runs 16
+blocks of sign vectors on each.
 
 Then 42 CLI hashes, one line per CLI output, ``cli``, its name and its
 SHA-256, from ``gobmd.cli.main`` run in this process in a temporary
@@ -54,6 +57,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gobmd import GenConfig, SolverOptions, generate_instance, solve_gobmd, solve_incremental  # noqa: E402
+from gobmd.baselines import exhaustive_search  # noqa: E402
 from gobmd.cli import main as cli_main  # noqa: E402
 from test_stress import stressed  # noqa: E402
 
@@ -89,6 +93,15 @@ def fingerprint(solver, solves) -> str:
         report = solver(inst, opts).to_dict()
         del report["wall_time"]
         digest.update(json.dumps(report).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def oracle_fingerprint(instances) -> str:
+    digest = hashlib.sha256()
+    for inst in instances:
+        res = exhaustive_search(inst)
+        line = [res.x_opt.astype(int).tolist(), repr(res.objective), res.ties, res.n_evaluated]
+        digest.update(json.dumps(line).encode() + b"\n")
     return digest.hexdigest()
 
 
@@ -143,6 +156,8 @@ def main() -> int:
     for solver in (solve_gobmd, solve_incremental):
         for name, solves in sets:
             print(f"{solver.__name__:18s} {name:13s} {len(solves):4d} {fingerprint(solver, solves)}", flush=True)
+    fixed = [inst for inst, _ in dict(sets)["fixed"]]
+    print(f"{'exhaustive_search':18s} {'fixed':13s} {len(fixed):4d} {oracle_fingerprint(fixed)}", flush=True)
     for output, digest in cli_fingerprints():
         print(f"cli {output:32s} {digest}", flush=True)
     return 0

@@ -90,8 +90,8 @@ class LossContext:
     def __init__(self, H: np.ndarray, r: np.ndarray, sigma: float):
         H = np.asarray(H, dtype=float)
         r = np.asarray(r, dtype=float)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
         self.rows = (r[:, None] * H) / sigma
         self.rows.setflags(write=False)
         self.n, self.k = self.rows.shape

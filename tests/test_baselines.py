@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from gobmd.baselines import exhaustive_search, least_squares, zero_forcing
-from gobmd.loss import LossContext, f_obj
-from gobmd.model import GenConfig, RealInstance, generate_instance
+from gobmd.baselines import BLOCK_CODES, TIE_TOL, exhaustive_search, least_squares, zero_forcing
+from gobmd.loss import LossContext, f_obj, log_ncdf
+from gobmd.model import GenConfig, RealInstance, generate_instance, quantize_one_bit
 from test_stress import stressed
 
 # mpmath (dps=40) references, same instances as the loss-function tests
@@ -131,6 +131,89 @@ def test_exhaustive_matches_direct_enumeration():
         assert np.array_equal(res.x_opt, vectors[first])
         assert res.objective == pytest.approx(f[first], abs=1e-9)
         assert res.objective == pytest.approx(f_obj(ctx, res.x_opt), rel=1e-13, abs=0.0)
+
+
+def _enumerate_in_full(inst):
+    """(x_opt, ties, objective) from every vector's f, each block's margins one product."""
+    ctx = LossContext.from_instance(inst)
+    shifts = np.arange(inst.k - 1, -1, -1)
+    f = []
+    for start in range(0, 2**inst.k, BLOCK_CODES):
+        codes = np.arange(start, min(start + BLOCK_CODES, 2**inst.k))
+        signs = 1.0 - 2.0 * ((codes[:, None] >> shifts) & 1)
+        f.append(np.sum(-log_ncdf(signs @ ctx.rows.T), axis=1))
+    f = np.concatenate(f)
+    near = np.flatnonzero(f <= f.min() + TIE_TOL * min(1.0, f.min()))
+    x = 1.0 - 2.0 * ((near[0] >> shifts) & 1)
+    return x, len(near), f_obj(ctx, x)
+
+
+def _block(x):
+    """Index of the BLOCK_CODES block that holds sign vector x (coordinate 0 is the top bit)."""
+    return int((x < 0) @ (1 << np.arange(len(x) - 1, -1, -1))) // BLOCK_CODES
+
+
+def _assert_matches_full_enumeration(inst):
+    x, ties, objective = _enumerate_in_full(inst)
+    res = exhaustive_search(inst)
+    assert np.array_equal(res.x_opt, x)
+    assert res.ties == ties
+    assert res.objective.hex() == objective.hex()
+    assert res.n_evaluated == 2**inst.k
+    return res
+
+
+def test_exhaustive_tie_pair_split_across_blocks():
+    # a zero column at coordinate 0, the top bit of the code: every vector
+    # ties with its twin one block of 1024 codes away
+    rng = np.random.default_rng(48)
+    H = rng.standard_normal((20, 11))
+    H[:, 0] = 0.0
+    inst = _instance(H, np.sign(rng.standard_normal(20)), sigma=0.5)
+    res = _assert_matches_full_enumeration(inst)
+    assert res.ties == 2 and res.x_opt[0] == 1.0
+
+
+def test_exhaustive_zero_forcing_outside_block_0():
+    inst = generate_instance(GenConfig(12, 6, 10.0, 4000), 2)
+    assert _block(zero_forcing(inst)) > 0
+    _assert_matches_full_enumeration(inst)
+
+
+def test_exhaustive_zero_forcing_far_from_optimum():
+    # half of the received signs flipped: the zero-forcing vector differs
+    # from the optimum in 8 of 11 coordinates and lies in another block
+    rng = np.random.default_rng([48, 17])
+    H = rng.standard_normal((12, 11))
+    r = quantize_one_bit(H @ np.sign(rng.standard_normal(11)))
+    r[rng.permutation(12)[:6]] *= -1
+    inst = _instance(H, r, sigma=0.3)
+    res = _assert_matches_full_enumeration(inst)
+    zf = zero_forcing(inst)
+    assert np.sum(zf != res.x_opt) == 8 and _block(zf) != _block(res.x_opt)
+
+
+def test_exhaustive_scaled_columns_and_60db():
+    for trial in range(3):
+        inst = generate_instance(GenConfig(12, 6, 60.0, 4000), trial)
+        _assert_matches_full_enumeration(inst)
+        H = inst.H.copy()
+        H[:, ::3] *= 1e4
+        noise = inst.sigma * np.random.default_rng([49, trial]).standard_normal(inst.n)
+        scaled = _instance(H, quantize_one_bit(H @ inst.x_true + noise), inst.sigma)
+        _assert_matches_full_enumeration(scaled)
+
+
+def test_exhaustive_fewer_rows_than_stages():
+    # with N below the first stage's rows, a bounding sum is the whole f; a
+    # column of 1e-12 at coordinate 0 puts a near-tie one block away from the
+    # optimum, and it survives on the threshold's TIE_TOL alone
+    rng = np.random.default_rng(50)
+    for n in (1, 2, 3):
+        H = rng.standard_normal((n, 11))
+        H[:, 0] *= 1e-12
+        inst = _instance(H, np.sign(rng.standard_normal(n)), sigma=0.7)
+        assert _assert_matches_full_enumeration(inst).ties >= 2
 
 
 def test_exhaustive_tie_break_lexicographic():

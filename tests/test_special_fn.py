@@ -142,7 +142,13 @@ def test_g_eval_values():
 
 def test_loss_context_refuses_nonpositive_sigma():
     for sigma in (0.0, -1.0):
-        with pytest.raises(ValueError, match="sigma must be positive"):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            LossContext(np.eye(2), np.ones(2), sigma)
+
+
+def test_loss_context_refuses_non_finite_sigma():
+    for sigma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"sigma must be finite and positive, got {sigma!r}"):
             LossContext(np.eye(2), np.ones(2), sigma)
 
 
