@@ -306,21 +306,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # (``model.write_atomically``).
 
 
+def _check_finite(v, key: str):
+    """Refuse the first non-finite float in ``v``, walking dicts, lists and tuples; ``key`` names ``v``."""
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ValueError(f"cannot write non-finite value {v} at {key}")
+    items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, (list, tuple)) else ()
+    for k, u in items:
+        _check_finite(u, f"{key}[{k!r}]")
+
+
 def write_results(rows: list[dict], path: str, fmt: str = "csv", metadata: dict | None = None):
     """Persist a result table; CSV gets a header row, JSON adds the metadata block."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
+    _check_finite(rows, "rows")
     if fmt == "csv":
         columns = list(rows[0].keys()) if rows else []
         cells = [[row.get(c) for c in columns] for row in rows]
-        bad = [v for line in cells for v in line if isinstance(v, float) and not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"cannot write non-finite value {bad[0]}")
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows([columns, *cells])  # None is an empty cell
         text = buf.getvalue()
     else:
-        text = json.dumps({"metadata": metadata or {}, "rows": rows}, indent=1, allow_nan=False) + "\n"
+        _check_finite(metadata, "metadata")
+        text = json.dumps({"metadata": metadata or {}, "rows": rows}, indent=1) + "\n"
     try:
         write_atomically(path, text)
     except OSError as e:

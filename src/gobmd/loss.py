@@ -72,7 +72,7 @@ def inv_mills(z):
 
 @dataclass
 class Cut:
-    """Tangent inequality w_row >= grad . x + offset anchored at ``point``."""
+    """Tangent inequality w_row >= grad . x + offset anchored at ``point``, as ``make_cut`` returns it."""
 
     row: int
     point: np.ndarray
@@ -125,13 +125,13 @@ def f_obj(ctx: LossContext, x: np.ndarray) -> float:
     return float(np.sum(ctx.g_all(np.asarray(x, dtype=float))))
 
 
-def make_cuts(ctx: LossContext, rows, point: np.ndarray) -> list[Cut]:
+def make_cuts(ctx: LossContext, rows, point: np.ndarray):
     """Tangents of g_i at ``point`` for each i in ``rows``, from one kernel pass.
 
-    Valid global underestimators by convexity; all of them share one read-only anchor.
+    Returns ``(grads, offsets)``: the tangent of ``rows[k]`` is
+    w >= grads[k] . x + offsets[k], a valid global underestimator by convexity.
     """
-    point = np.array(point, dtype=float)
-    point.setflags(write=False)
+    point = np.asarray(point, dtype=float)
     rows = np.asarray(rows, dtype=int)
     if rows.size and not (0 <= rows.min() and rows.max() < ctx.n):
         raise IndexError(f"row index out of range [0, {ctx.n})")
@@ -139,12 +139,15 @@ def make_cuts(ctx: LossContext, rows, point: np.ndarray) -> list[Cut]:
     log_cdf, lam = _log_ncdf_and_inv_mills(R @ point)
     grads = -lam[:, None] * R
     offsets = -log_cdf - grads @ point
-    return [Cut(int(i), point, g, float(c)) for i, g, c in zip(rows, grads, offsets)]
+    return grads, offsets
 
 
 def make_cut(ctx: LossContext, i: int, point: np.ndarray) -> Cut:
     """Tangent of g_i at ``point``: valid global underestimator by convexity."""
-    return make_cuts(ctx, [i], point)[0]
+    point = np.array(point, dtype=float)
+    point.setflags(write=False)
+    grads, offsets = make_cuts(ctx, [i], point)
+    return Cut(int(i), point, grads[0], float(offsets[0]))
 
 
 # Projected Newton on a box: stop once the certified gap f(x) - bound is below

@@ -11,7 +11,7 @@ slack duplication of the box.
 
 A problem is built only by the ``LpProblem`` constructor, which checks its
 shapes, row indices and box and freezes its arrays in place. The module knows
-nothing of tangents: the branch-and-bound's cut pool stacks them into the
+nothing of tangents: the branch-and-bound's cut pool holds them as the
 (row_w, row_coef, row_off) arrays, and every node LP between two additions to
 the pool shares those arrays.
 

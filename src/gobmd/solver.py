@@ -16,7 +16,7 @@ import numpy as np
 from . import lp as lpmod
 from .baselines import zero_forcing
 # make_cut stays importable from here: bench/layertrace.py wraps gobmd.solver.make_cut
-from .loss import Cut, LossContext, box_relaxation, make_cut, make_cuts  # noqa: F401
+from .loss import LossContext, box_relaxation, make_cut, make_cuts  # noqa: F401
 from .model import RealInstance, quantize_one_bit
 
 # objective gap accepted by the incremental loop's optimality certificate
@@ -42,53 +42,43 @@ class SolverOptions:
 
 
 class CutPool:
-    """The active tangent set S, deduplicated over (row, anchor) pairs.
+    """The active tangent set S as node-LP rows, deduplicated over (row, anchor) pairs.
 
-    The cuts are kept once, in ``cuts``. ``lp_rows`` stacks them into
-    read-only arrays only when the pool has changed since its last call, so
-    every node LP between two additions shares the same arrays.
+    A tangent w_i >= grad . x + offset is the row w_i - grad . x >= offset.
+    ``rows`` holds the pooled ones as read-only ``(row_w, coef, off)``
+    arrays, in the order they were added; it starts with one tangent per
+    row at ``seed``. ``add`` replaces the triple only when a tangent is new,
+    so every node LP between two additions shares the same arrays.
     """
 
-    def __init__(self, n_rows: int, n_x: int):
-        self.n_rows = n_rows
-        self.n_x = n_x
-        self.cuts: list[Cut] = []
+    def __init__(self, ctx: LossContext, seed: np.ndarray):
+        self.ctx = ctx
+        self.seed = np.array(seed, dtype=float)
+        self.seed.setflags(write=False)
+        self.capacity = ctx.n * 2**ctx.k  # |C| = N * 2^K, the full tangent family size
         self._keys: set[tuple[int, bytes]] = set()
-        self._rows = None
+        self.rows = (np.empty(0, dtype=int), np.empty((0, ctx.k)), np.empty(0))
+        self.add(range(ctx.n), self.seed)
 
     def __len__(self) -> int:
-        return len(self.cuts)
+        return len(self.rows[0])
 
-    @property
-    def capacity(self) -> int:
-        """|C| = N * 2^K, the full tangent family size."""
-        return self.n_rows * (2**self.n_x)
-
-    def add(self, cut: Cut) -> bool:
-        """Append a cut unless its (row, anchor) pair is already present; True if appended."""
-        key = (cut.row, np.ascontiguousarray(cut.point, dtype=float).tobytes())
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.cuts.append(cut)
-        self._rows = None
-        return True
-
-    def lp_rows(self):
-        """(row_w, coef, off): the pooled tangents as read-only LP rows, in the order they were added.
-
-        A tangent w_i >= grad . x + offset is the row w_i - grad . x >= offset.
-        """
-        if self._rows is None:
-            cuts = self.cuts
-            self._rows = (
-                np.array([c.row for c in cuts], dtype=int),
-                np.array([c.grad for c in cuts], dtype=float).reshape(len(cuts), self.n_x),
-                np.array([c.offset for c in cuts], dtype=float),
-            )
-            for a in self._rows:
+    def add(self, rows, point) -> int:
+        """Pool the tangents at ``point`` of ``rows`` whose (row, anchor) pair is new; the number added."""
+        rows = np.asarray(rows, dtype=int)
+        # the tangents of every requested row, so each batch is one margin product whatever the pool holds
+        grads, offsets = make_cuts(self.ctx, rows, point)
+        anchor = np.asarray(point, dtype=float).tobytes()
+        new = []
+        for k, i in enumerate(rows.tolist()):
+            if (i, anchor) not in self._keys:
+                self._keys.add((i, anchor))
+                new.append(k)
+        if new:
+            self.rows = tuple(np.concatenate([a, b[new]]) for a, b in zip(self.rows, (rows, grads, offsets)))
+            for a in self.rows:
                 a.setflags(write=False)
-        return self._rows
+        return len(new)
 
 
 @dataclass(eq=False)
@@ -147,11 +137,7 @@ def select_branch_var(point: np.ndarray, free: np.ndarray) -> int:
 
 def initial_cuts(instance: RealInstance, ctx: LossContext) -> CutPool:
     """Seed pool: one tangent per observation, all anchored at the zero-forcing point."""
-    x_zf = zero_forcing(instance)
-    pool = CutPool(ctx.n, ctx.k)
-    for cut in make_cuts(ctx, range(ctx.n), x_zf):
-        pool.add(cut)
-    return pool
+    return CutPool(ctx, zero_forcing(instance))
 
 
 @dataclass(kw_only=True)
@@ -251,7 +237,6 @@ class _TreeSearch:
         self.generate_cuts = generate_cuts
         self.ctx = LossContext.from_instance(instance)
         self.pool = initial_cuts(instance, self.ctx)
-        self.n_initial = len(self.pool)
         self.deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
         self.nodes_processed = self.lp_solves = self.lp_iterations = self.bound_prunes = 0
         self.incumbent_history: list = []
@@ -321,7 +306,7 @@ class _TreeSearch:
                         self.offer(x_lp, sol.w)
                         break
                     g = self.ctx.g_all(x_lp)
-                    if self.add_cuts(np.flatnonzero(sol.w < g - CUT_TOL), x_lp):
+                    if self.pool.add(np.flatnonzero(sol.w < g - CUT_TOL), x_lp):
                         problem = self._build_problem(xl, xu)  # case (2.2): the new cuts are the last rows
                         warm = sol.basis
                         continue
@@ -353,11 +338,7 @@ class _TreeSearch:
 
     def _build_problem(self, xl, xu) -> lpmod.LpProblem:
         """The node LP over the whole pool in the box [xl, xu]; the problem freezes the box."""
-        return lpmod.LpProblem(self.ctx.k, self.ctx.n, *self.pool.lp_rows(), xl, xu)
-
-    def add_cuts(self, rows, point) -> int:
-        """Pool the tangents at ``point`` of ``rows``; the number that were new."""
-        return sum(map(self.pool.add, make_cuts(self.ctx, rows, point)))
+        return lpmod.LpProblem(self.ctx.k, self.ctx.n, *self.pool.rows, xl, xu)
 
     def report(self, method, status, **outcome) -> SolveReport:
         """A SolveReport with the counters, the pool, the wall time so far and the options filled in."""
@@ -368,7 +349,7 @@ class _TreeSearch:
             lp_solves=self.lp_solves,
             lp_iterations=self.lp_iterations,
             bound_prunes=self.bound_prunes,
-            cuts_added=len(self.pool) - self.n_initial,
+            cuts_added=len(self.pool) - self.ctx.n,
             pool_size=len(self.pool),
             pool_capacity=self.pool.capacity,
             wall_time=time.perf_counter() - self.t0,
@@ -380,8 +361,8 @@ class _TreeSearch:
 def solve_gobmd(instance: RealInstance, opts: SolverOptions | None = None) -> SolveReport:
     """Branch-and-bound with embedded cut generation; certifies a global minimum."""
     search = _TreeSearch(instance, opts or SolverOptions(), generate_cuts=True)
-    # the seed cuts' shared anchor is the zero-forcing point; a copy, as the report hands it out
-    status = search.run(x_start=search.pool.cuts[0].point.copy())
+    # the seed pool's anchor is the zero-forcing point; a copy, as the report hands it out
+    status = search.run(x_start=search.pool.seed.copy())
     return search.report(
         "gobmd",
         status,
@@ -417,7 +398,7 @@ def solve_incremental(instance: RealInstance, opts: SolverOptions | None = None)
         if viol.size == 0:
             # certificate gap too wide: tighten with any measurable violation
             viol = np.flatnonzero(w_bar < g - 1e-12)
-        if not search.add_cuts(viol, x_bar):
+        if not search.pool.add(viol, x_bar):
             break  # pool already tight at x_bar; gap is LP-tolerance noise
     # each restricted MILP relaxes the problem, so the bounds on it are valid here too
     lower = best_f if status == "optimal" else min(max([search.lower_bound, *lower_bounds]), best_f)

@@ -205,12 +205,12 @@ def test_criterion_8_lp_correctness():
         n_extra = int(rng.integers(0, 188))  # total rows stay <= 200
         for _ in range(n_extra):
             anchor = np.where(rng.random(ctx.k) < 0.5, 1.0, -1.0)
-            pool.add(make_cut(ctx, int(rng.integers(0, ctx.n)), anchor))
+            pool.add([int(rng.integers(0, ctx.n))], anchor)
         xl, xu = np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)
         for j in range(ctx.k):
             if rng.random() < 0.2:
                 xl[j] = xu[j] = rng.choice([-1.0, 1.0])
-        p = LpProblem(ctx.k, ctx.n, *pool.lp_rows(), xl, xu)
+        p = LpProblem(ctx.k, ctx.n, *pool.rows, xl, xu)
         base = solve_lp(p)
         assert base.status == "optimal"
         cert = certificate(p, base)

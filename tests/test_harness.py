@@ -288,10 +288,15 @@ def test_write_results_refuse_non_finite_doubles(tmp_path):
     path = tmp_path / "out"
     for fmt in ("csv", "json"):
         for v in (float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(f"cannot write non-finite value {v} at rows[0]['v']")):
                 write_results([{"a": 1, "v": v}], str(path), fmt)
-    with pytest.raises(ValueError):  # in the metadata too
+            with pytest.raises(ValueError, match=re.escape(f"cannot write non-finite value {v} at rows[1]['v']")):
+                write_results([{"a": 1, "v": 0.5}, {"a": 2, "v": v}], str(path), fmt)
+    # in the metadata too, at any depth
+    with pytest.raises(ValueError, match=re.escape("cannot write non-finite value nan at metadata['sigma']")):
         write_results([], str(path), "json", metadata={"sigma": float("nan")})
+    with pytest.raises(ValueError, match=re.escape("cannot write non-finite value inf at metadata['config']['snr_db'][1]")):
+        write_results([{"a": 1}], str(path), "json", metadata={"config": {"snr_db": [0.0, float("inf")]}})
     assert not path.exists() and list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from gobmd import lp
-from gobmd.loss import LossContext, make_cut
+from gobmd.loss import LossContext
 from gobmd.lp import AT_LOWER, AT_UPPER, BASIC, BasisToken, LpProblem, SingularBasisError, certificate, solve_lp
 from gobmd.model import GenConfig, generate_instance
 from gobmd.solver import initial_cuts, solve_gobmd, solve_incremental
@@ -311,12 +311,12 @@ def pool_problem(rng, case):
     pool = initial_cuts(inst, ctx)
     for _ in range(int(rng.integers(0, 120))):
         anchor = np.where(rng.random(ctx.k) < 0.5, 1.0, -1.0)
-        pool.add(make_cut(ctx, int(rng.integers(0, ctx.n)), anchor))
+        pool.add([int(rng.integers(0, ctx.n))], anchor)
     xl, xu = np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)
     for j in range(ctx.k):
         if rng.random() < 0.2:
             xl[j] = xu[j] = rng.choice([-1.0, 1.0])
-    return LpProblem(ctx.k, ctx.n, *pool.lp_rows(), xl, xu)
+    return LpProblem(ctx.k, ctx.n, *pool.rows, xl, xu)
 
 
 def dense_A(p):
@@ -469,7 +469,7 @@ def test_tiny_pivot_row_entries_are_not_pivots():
     # working matrix then failed COND_LIMIT on the warm and the cold start.
     inst = generate_instance(GenConfig(8, 4, 40.0, 9_100), 1)
     ctx = LossContext.from_instance(inst)
-    row_w, coef, off = initial_cuts(inst, ctx).lp_rows()
+    row_w, coef, off = initial_cuts(inst, ctx).rows
     assert 0.0 < np.abs(coef[0]).max() < 4e-9
     p = fix(LpProblem(ctx.k, ctx.n, row_w, coef, off, np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)), 0, -1.0)
     sol = solve_lp(p)
@@ -506,8 +506,8 @@ def test_pivot_path_pinned(case):
     for signs, rows in case["cuts"]:
         anchor = np.array([1.0 if s == "+" else -1.0 for s in signs])
         for i in rows:
-            pool.add(make_cut(ctx, i, anchor))
-    row_w, coef, off = pool.lp_rows()
+            pool.add([i], anchor)
+    row_w, coef, off = pool.rows
     bases = []
     for fixed_pos, fixed_neg, m, warm, iterations, objective in case["lps"]:
         xl, xu = np.full(ctx.k, -1.0), np.full(ctx.k, 1.0)

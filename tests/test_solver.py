@@ -41,9 +41,9 @@ def test_initial_cuts_identity_channel():
     assert len(pool) == 4
     x_zf = quantize_one_bit(least_squares(inst.H, inst.r))
     assert np.array_equal(x_zf, r)
-    for cut in pool.cuts:
-        val = cut.grad @ cut.point + cut.offset
-        assert val == pytest.approx(float(ctx.g_all(cut.point)[cut.row]), rel=1e-12)
+    for row, grad, offset in zip(*pool.rows):
+        val = grad @ pool.seed + offset
+        assert val == pytest.approx(float(ctx.g_all(pool.seed)[row]), rel=1e-12)
 
 
 def test_initial_pool_ratio():
@@ -61,21 +61,36 @@ def test_pool_keeps_each_row_once():
     inst = generate_instance(GenConfig(8, 3, 10.0, 4000), 4)
     ctx = LossContext.from_instance(inst)
     pool = initial_cuts(inst, ctx)
-    rows = pool.lp_rows()
+    rows = pool.rows
     assert not any(a.flags.writeable for a in rows)
-    assert all(a is b for a, b in zip(rows, pool.lp_rows()))  # the same objects until an add
-    anchor = -pool.cuts[0].point  # not the seed anchor
-    assert [pool.add(cut) for cut in make_cuts(ctx, [0, 1], anchor)] == [True, True]
-    grown = pool.lp_rows()
+    # an empty batch, or the seed rows again at the seed anchor, adds nothing and keeps the same objects
+    assert pool.add([], -pool.seed) == 0
+    assert pool.add(range(ctx.n), pool.seed.copy()) == 0
+    assert all(a is b for a, b in zip(rows, pool.rows))
+    anchor = -pool.seed  # not the seed anchor
+    assert pool.add([0, 1], anchor) == 2
+    grown = pool.rows
     assert all(a is not b for a, b in zip(rows, grown)) and len(grown[0]) == len(rows[0]) + 2
-    # a repeated (row, anchor) pair is refused in a later batch, from new Cut objects
-    assert [pool.add(cut) for cut in make_cuts(ctx, [1, 2], anchor.copy())] == [False, True]
-    assert [pool.add(cut) for cut in make_cuts(ctx, [0], pool.cuts[0].point)] == [False]
-    assert len(pool) == ctx.n + 3
-    row_w, coef, off = pool.lp_rows()
-    assert row_w.tolist() == [cut.row for cut in pool.cuts]
-    assert coef.tobytes() == np.array([cut.grad for cut in pool.cuts]).tobytes()
-    assert off.tolist() == [cut.offset for cut in pool.cuts]
+    # a repeated (row, anchor) pair is refused in a later batch, at an equal anchor in a new array
+    assert pool.add([1, 6], anchor.copy()) == 1
+    assert pool.add([0], pool.seed) == 0
+    # a row repeated within one batch is pooled once
+    assert pool.add([3, 3, 4, 3], anchor) == 2
+    assert len(pool) == ctx.n + 5
+    row_w, coef, off = pool.rows
+    assert row_w.tolist() == [*range(ctx.n), 0, 1, 6, 3, 4]
+    # the rows are the batches' tangents, byte for byte, in pool order; a one-row
+    # margin product may round otherwise (row 6's does here, with OpenBLAS), so
+    # the pool must take the tangents of the whole batch and then keep the new ones
+    batches = [(range(ctx.n), pool.seed, slice(None)), ([0, 1], anchor, [0, 1]), ([1, 6], anchor, [1]),
+               ([3, 3, 4, 3], anchor, [0, 2])]
+    grads, offsets = [], []
+    for batch, point, kept in batches:
+        g, c = make_cuts(ctx, batch, point)
+        grads.append(g[kept])
+        offsets.append(c[kept])
+    assert coef.tobytes() == np.concatenate(grads).tobytes()
+    assert off.tobytes() == np.concatenate(offsets).tobytes()
 
 
 def test_lazy_cuts_rebuild_the_node_problem_from_the_pool(monkeypatch):
@@ -104,7 +119,7 @@ def test_lazy_cuts_rebuild_the_node_problem_from_the_pool(monkeypatch):
         for (old, _, old_sol), (new, warm, _) in zip(calls, calls[1:]):
             if warm is not old_sol.basis or new.n_rows == old.n_rows:
                 continue
-            want = add_rows(old, [(c.row, c.grad, c.offset) for c in pools[-1].cuts[old.n_rows : new.n_rows]])
+            want = add_rows(old, list(zip(*(a[old.n_rows : new.n_rows] for a in pools[-1].rows))))
             for name in ("row_w", "row_coef", "row_off", "x_lower", "x_upper"):
                 got, ref = getattr(new, name), getattr(want, name)
                 assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), name

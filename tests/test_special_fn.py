@@ -278,22 +278,23 @@ def test_make_cuts_match_per_row_cuts_in_both_tails():
     margins = ctx.rows @ point
     assert margins.min() < -30.0 and margins.max() > 8.0
     rows = rng.permutation(ctx.n)
-    cuts = make_cuts(ctx, rows, point)
-    assert [c.row for c in cuts] == list(rows)
-    assert all(c.point is cuts[0].point and not c.point.flags.writeable for c in cuts)
-    for cut in cuts:
-        single = make_cut(ctx, cut.row, point)
-        grad = g_grad(ctx, cut.row, point)
-        g = g_eval(ctx, cut.row, point)
+    grads, offsets = make_cuts(ctx, rows, point)
+    assert grads.shape == (ctx.n, 4) and offsets.shape == (ctx.n,)
+    for i, cut_grad, cut_offset in zip(rows.tolist(), grads, offsets):
+        single = make_cut(ctx, i, point)
+        assert single.row == i and not single.point.flags.writeable
+        grad = g_grad(ctx, i, point)
+        g = g_eval(ctx, i, point)
         for ref_grad, ref_offset in ((single.grad, single.offset), (grad, g - float(grad @ point))):
-            assert np.allclose(cut.grad, ref_grad, rtol=1e-14, atol=0.0)
-            assert cut.offset == pytest.approx(ref_offset, rel=1e-14, abs=1e-14 * g)
-        assert cut.grad @ point + cut.offset == pytest.approx(g, rel=1e-14)
+            assert np.allclose(cut_grad, ref_grad, rtol=1e-14, atol=0.0)
+            assert cut_offset == pytest.approx(ref_offset, rel=1e-14, abs=1e-14 * g)
+        assert cut_grad @ point + cut_offset == pytest.approx(g, rel=1e-14)
 
 
 def test_make_cuts_rejects_rows_out_of_range():
     ctx = _ctx([[1.0, 0.0], [0.0, 1.0]])
-    assert make_cuts(ctx, [], np.ones(2)) == []
+    grads, offsets = make_cuts(ctx, [], np.ones(2))
+    assert grads.shape == (0, 2) and offsets.shape == (0,)
     for rows in ([2], [-1], [0, 2]):
         with pytest.raises(IndexError):
             make_cuts(ctx, rows, np.ones(2))
