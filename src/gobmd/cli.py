@@ -158,6 +158,8 @@ def _cmd_experiment(args) -> int:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {resolved['format']!r}")
     for key in ("out", "records_out"):
         _check_out_path(key, resolved[key])
+    if resolved["records_out"] and os.path.realpath(resolved["records_out"]) == os.path.realpath(resolved["out"]):
+        raise ValueError(f"records_out must not be the out file, got {resolved['records_out']!r} for both")
     # a setting the sweep does not take leaves its field None
     cfg = ExperimentConfig(
         experiment=args.experiment,

@@ -26,7 +26,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .baselines import exhaustive_search, zero_forcing
+from .baselines import EXHAUSTIVE_K_CAP, exhaustive_search, zero_forcing
 from .loss import LossContext, f_obj
 from .model import (
     RNG_IDENTITY, GenConfig, RealInstance, bit_error_rate, generate_instance, write_atomically,
@@ -91,6 +91,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if type(v) is not int or v < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+        k = max(self.k_users)
+        if "exhaustive" in self.detectors and 2 * k > EXHAUSTIVE_K_CAP:
+            raise ValueError(f"exhaustive search requires K <= {EXHAUSTIVE_K_CAP}, got K = {2 * k} (k_users = {k})")
         if sweep.detector is not None and sweep.detector not in self.detectors:
             raise ValueError(f"{self.experiment} requires the {sweep.detector} detector")
         if sweep.takes_ratios and len(self.k_users) != 1:

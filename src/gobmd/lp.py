@@ -5,9 +5,11 @@ the form w_i - a^T x >= b. Solved by a bounded-variable dual simplex: the
 all-slack basis is dual feasible (costs are 0 on x and slacks, +1 on w at its
 lower bound 0), and both row addition and bound tightening preserve dual
 feasibility of a previously optimal basis, so warm starts re-enter the method
-directly. Every run checks that its starting basis is dual feasible; one that
-is not ends the run, and the solve goes on from the cold start. No big-M, no
-slack duplication of the box.
+directly. Every node LP is feasible and bounded (no w has an upper bound), so
+a run either ends optimal or fails: a start that is not dual feasible, no
+eligible entering column, the pivot limit and a singular basis all fail it,
+and the solve goes on from the cold start. No big-M, no slack duplication of
+the box.
 
 A problem is built only by the ``LpProblem`` constructor, which checks its
 shapes, row indices and box and freezes its arrays in place. The module knows
@@ -74,8 +76,8 @@ COND_LIMIT = 1e12  # working matrices with p |W|max |W^-1|max above this count a
 GER_MAX_ENTRIES = 8192
 
 
-class SingularBasisError(RuntimeError):
-    """Internal: basis matrix could not be factorized."""
+class _RunFailed(RuntimeError):
+    """Internal: a dual-simplex run ended without an optimum."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,9 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | iteration-limit | numerical-failure
+    """A solve's end. A failed one's x, w and token are whatever its last run left."""
+
+    status: str  # optimal | numerical-failure
     x: np.ndarray
     w: np.ndarray
     objective: float
@@ -156,20 +160,19 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None) -> LpSolution:
     run of degenerate pivots. The token should come from a problem whose
     rows are the first rows of ``p``, with any bounds: its basis is then
     dual feasible for ``p``. One of other columns or more rows is ignored,
-    and a warm start that is not dual feasible, or does not end optimal, is
-    retried cold once. A singular basis ends a run with status
-    ``numerical-failure``; ``iterations`` counts the last run.
+    and a warm run that fails is retried cold once. The status is
+    ``optimal``, or ``numerical-failure`` when the last run failed too;
+    ``iterations`` counts the last run's pivots.
     """
-    m, K, N = p.n_rows, p.n_x, p.n_w
-    max_iter = MAX_ITER_PER_COLUMN * (K + N + m)
+    K, N = p.n_x, p.n_w
     core = _DualSimplex(p)
     for start in _starts(p, warm):
         try:
-            status, iters = core.run(*start, max_iter)
-        except SingularBasisError:
-            status, iters = "numerical-failure", core.pivots
-        if status == "optimal":
+            core.run(*start)
+            status = "optimal"
             break
+        except _RunFailed:
+            status = "numerical-failure"
 
     x = core.v[:K].copy()
     w = core.v[K : K + N].copy()
@@ -179,7 +182,7 @@ def solve_lp(p: LpProblem, warm: BasisToken | None = None) -> LpSolution:
         binv = core.Binv
         binv.setflags(write=False)
     token = BasisToken(core.basis.copy(), core.vstat.copy(), K, N, binv, p.row_coef)
-    return LpSolution(status, x, w, float(w.sum()), token, core.d.copy(), iters)
+    return LpSolution(status, x, w, float(w.sum()), token, core.d.copy(), core.pivots)
 
 
 def crash_start(p: LpProblem) -> BasisToken:
@@ -298,9 +301,10 @@ class _DualSimplex:
             return self.Binv[:, rows].sum(axis=1)
         return -self.Binv[:, q - K - N]
 
-    def run(self, basis, vstat, inverse, max_iter):
-        """Dual simplex from (basis, vstat), starting from ``inverse`` as its B^-1 if given, else a refactor."""
-        self.pivots = 0  # what a run cut short by SingularBasisError reports as its iterations
+    def run(self, basis, vstat, inverse):
+        """Dual simplex from (basis, vstat), starting from ``inverse`` as its B^-1 if given, else a refactor;
+        returns its pivots at an optimum and raises ``_RunFailed`` at any other end."""
+        self.pivots = 0
         self.basis = np.array(basis, dtype=int)
         self.vstat = np.array(vstat, dtype=np.int8)
         self.sgn = np.where(self.vstat == AT_UPPER, -1.0, 1.0)
@@ -314,18 +318,20 @@ class _DualSimplex:
             self._values()
         if (self.sgn * self.d < -DUAL_TOL).any():
             # not dual feasible: the method would stop at a point that is not optimal
-            return "numerical-failure", 0
+            raise _RunFailed("start is not dual feasible")
         degen_run = 0
         bland = False
         since_refactor = 0
         ratios = np.empty(self.n)
-        for it in range(max_iter):
+        for _ in range(MAX_ITER_PER_COLUMN * self.n):
             vb = self.vb
             viol = np.maximum(self.lb - vb, vb - self.ub)
             r = int(viol.argmax()) if self.m else -1
             if r < 0 or viol[r] <= FEAS_TOL:
-                self._finalize(since_refactor)
-                return "optimal", it
+                if since_refactor:
+                    self._refactor()  # clean residuals and reduced costs for the certificate
+                self.v[self.basis] = self.vb
+                return self.pivots
             if bland:
                 cand = np.flatnonzero(viol > FEAS_TOL)
                 r = cand[np.argmin(self.basis[cand])]
@@ -343,10 +349,8 @@ class _DualSimplex:
             np.divide(np.abs(self.d), abs_alpha, out=ratios, where=eligible)
             q = int(ratios.argmin())  # first minimum = lowest column index
             theta = ratios[q]
-            if theta == np.inf:  # no eligible column
-                self._duals()
-                self.v[self.basis] = self.vb
-                return "infeasible", it
+            if theta == np.inf:
+                raise _RunFailed("no eligible column")
             if theta <= DEGEN_TOL:
                 degen_run += 1
                 if degen_run >= DEGEN_LIMIT:
@@ -385,8 +389,7 @@ class _DualSimplex:
             if since_refactor >= REFACTOR_EVERY:
                 self._refactor()
                 since_refactor = 0
-        self._finalize(since_refactor)
-        return "iteration-limit", max_iter
+        raise _RunFailed("pivot limit")
 
     def _refactor(self):
         """Rebuild B^-1 from the row structure, inverting only a p x p working matrix.
@@ -421,7 +424,7 @@ class _DualSimplex:
         np.minimum.at(key_of, self.row_w[tight_rows], tight_rows)
         keys = key_of[w_ids]
         if np.count_nonzero(keys == m):
-            raise SingularBasisError("basic w column without a tight row")
+            raise _RunFailed("basic w column without a tight row")
         basic_key = np.empty(N, dtype=int)
         basic_key.fill(-1)
         basic_key[w_ids] = keys
@@ -434,15 +437,15 @@ class _DualSimplex:
         tight[keys] = False
         work_rows = tight.nonzero()[0]
         if len(work_rows) != p:
-            raise SingularBasisError("working matrix is not square")
+            raise _RunFailed("working matrix is not square")
         W = C[work_rows]
         try:
             Winv = np.linalg.inv(W)
         except np.linalg.LinAlgError as e:
-            raise SingularBasisError(str(e)) from e
+            raise _RunFailed(str(e)) from e
         if p and p * np.abs(W).max() * np.abs(Winv).max() > COND_LIMIT:
             # bounds cond(W); near 1/eps the inverse is finite but wrong
-            raise SingularBasisError("working matrix is numerically singular")
+            raise _RunFailed("working matrix is numerically singular")
 
         # (W^-1 G)^T, where row t of G is e_t minus e_{key row} for keyed t
         YT = np.zeros((m, p))
@@ -465,7 +468,7 @@ class _DualSimplex:
         has_key = (s_keys >= 0).nonzero()[0]
         flat[s_keys[has_key] * m + s_pos[has_key]] += 1.0
         if not np.isfinite(flat).all():
-            raise SingularBasisError("non-finite basis inverse")
+            raise _RunFailed("non-finite basis inverse")
         self.Binv = BinvT.T  # column-major
         self._values()
 
@@ -481,11 +484,6 @@ class _DualSimplex:
     def _duals(self):
         self.y = self.c[self.basis] @ self.Binv
         self.d = self.c - self._yA(self.y)
-
-    def _finalize(self, pivots_since_refactor):
-        if pivots_since_refactor:
-            self._refactor()  # clean residuals and reduced costs for the certificate
-        self.v[self.basis] = self.vb
 
 
 def certificate(p: LpProblem, sol: LpSolution) -> dict:

@@ -223,10 +223,10 @@ class _TreeSearch:
     outer incremental loop needs; f bounds nothing there, so no relaxation is
     taken and a branch is on the LP point.
 
-    A node LP that ends non-optimal (``solve_lp`` has already retried a
-    failed warm start cold) ends the run with status
-    ``numerical-failure``; the incumbent and counters are kept. However the
-    run ends, ``lower_bound`` is the least bound of the nodes still open
+    A node LP that ends ``numerical-failure`` (``solve_lp`` has already
+    retried a failed warm run cold) ends the run with that status; the
+    incumbent and counters are kept. However the run ends,
+    ``lower_bound`` is the least bound of the nodes still open
     (the node in hand included), capped at the incumbent's value: a valid
     lower bound on the problem searched.
     """
@@ -237,7 +237,7 @@ class _TreeSearch:
         self.generate_cuts = generate_cuts
         self.ctx = LossContext.from_instance(instance)
         self.pool = initial_cuts(instance, self.ctx)
-        self.deadline = None if opts.time_limit is None else time.monotonic() + opts.time_limit
+        self.deadline = None if opts.time_limit is None else self.t0 + opts.time_limit
         self.nodes_processed = self.lp_solves = self.lp_iterations = self.bound_prunes = 0
         self.incumbent_history: list = []
         self.bound_history: list = []
@@ -263,7 +263,7 @@ class _TreeSearch:
         while len(open_nodes):
             if self.nodes_processed >= self.opts.node_limit:
                 return self._stop("node-limit", open_nodes)
-            if self.deadline is not None and time.monotonic() > self.deadline:
+            if self.deadline is not None and time.perf_counter() > self.deadline:
                 return self._stop("time-limit", open_nodes)
             node = open_nodes.pop()
             if node.bound >= self.upper - PRUNE_TOL:
@@ -291,8 +291,6 @@ class _TreeSearch:
                 sol = lpmod.solve_lp(problem, warm)
                 self.lp_solves += 1
                 self.lp_iterations += sol.iterations
-                # a node LP is never infeasible (w is unbounded above), so any
-                # status but optimal is numerical trouble
                 if sol.status != "optimal":
                     return self._stop("numerical-failure", open_nodes, bound)
                 f_lp = sol.objective

@@ -120,7 +120,7 @@ def test_solve_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
 
     def failing(p, warm=None):
         calls.append(warm)
-        return dataclasses.replace(real(p, warm), status="iteration-limit")
+        return dataclasses.replace(real(p, warm), status="numerical-failure")
 
     monkeypatch.setattr(gobmd.lp, "solve_lp", failing)
     # the relaxation bound does not prune this root, so its node LP runs
@@ -290,6 +290,46 @@ def test_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == "" and "out must be a non-empty path string, got ''" in captured.err, argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+def test_exhaustive_above_its_k_cap_is_refused_before_the_echo(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a trial ran before the exhaustive K cap was checked")
+
+    monkeypatch.setattr(gobmd.cli, "run_experiment", must_not_run)
+    out = str(tmp_path / "x.csv")
+    for argv in (["ber", "--n-ant", "13", "--k-users", "13", "--snr", "10", "--trials", "1"],
+                 ["runtime", "--n-ant", "13", "--k-users", "2,13", "--snr", "10", "--trials", "1"],
+                 ["phase", "--k-users", "13", "--ratios", "1", "--snr", "10", "--trials", "1"]):
+        assert main([*argv, "--detectors", "gobmd,exhaustive", "--out", out]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: exhaustive search requires K <= 24, got K = 26 (k_users = 13)\n", argv
+    assert list(tmp_path.iterdir()) == []
+    # K = 24 is within the cap, and the cap binds only the exhaustive detector
+    for detectors in ("gobmd,exhaustive", "gobmd"):
+        k = "12" if "exhaustive" in detectors else "13"
+        with pytest.raises(AssertionError, match="a trial ran"):
+            main(["ber", "--n-ant", k, "--k-users", k, "--trials", "1", "--detectors", detectors, "--out", out])
+
+
+def test_records_out_naming_the_out_file_is_refused(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("a trial ran before --records-out was checked")
+
+    monkeypatch.setattr(gobmd.cli, "run_experiment", must_not_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.csv").symlink_to(tmp_path / "same.csv")
+    base = ["ber", "--n-ant", "4", "--k-users", "2", "--snr", "10", "--trials", "2", "--out", "same.csv"]
+    for records in ("same.csv", "./same.csv", "sub/../same.csv", str(tmp_path / "same.csv"), "link.csv"):
+        assert main([*base, "--records-out", records]) == 1, records
+        captured = capsys.readouterr()
+        assert captured.out == "", records
+        assert captured.err == f"error: records_out must not be the out file, got {records!r} for both\n", records
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "sub"]
+    with pytest.raises(AssertionError, match="a trial ran"):
+        main([*base, "--records-out", "records.csv"])
 
 
 def test_snr_without_a_finite_positive_linear_value_exits_1(tmp_path, capsys):

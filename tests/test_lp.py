@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 from gobmd import lp
 from gobmd.loss import LossContext
-from gobmd.lp import AT_LOWER, AT_UPPER, BASIC, BasisToken, LpProblem, SingularBasisError, certificate, solve_lp
+from gobmd.lp import AT_LOWER, AT_UPPER, BASIC, BasisToken, LpProblem, certificate, solve_lp
 from gobmd.model import GenConfig, generate_instance
 from gobmd.solver import initial_cuts, solve_gobmd, solve_incremental
 from test_stress import stressed
@@ -280,7 +280,7 @@ def test_iteration_limit_status(monkeypatch):
     assert solve_lp(p).iterations > 0
     monkeypatch.setattr(lp, "MAX_ITER_PER_COLUMN", 0)
     sol = solve_lp(p)
-    assert sol.status == "iteration-limit"
+    assert sol.status == "numerical-failure"
 
 
 def test_primal_residuals_within_tolerance():
@@ -426,7 +426,7 @@ def test_singular_cold_restart_is_a_status(monkeypatch):
 
     def singular_with_basic_x(core):
         if np.any(core.basis < core.K):
-            raise SingularBasisError("test")
+            raise lp._RunFailed("test")
         refactor(core)
 
     dger = lp._dger
@@ -445,6 +445,30 @@ def test_singular_cold_restart_is_a_status(monkeypatch):
     assert sol.iterations == len(pivots) > 0
 
 
+def test_run_without_an_eligible_column_fails_after_the_cold_retry(monkeypatch):
+    rng = np.random.default_rng(31)
+    p = random_problem(rng, K=5, N=6, m=20)
+    sol = solve_lp(p)
+    a = rng.standard_normal(p.n_x)
+    child = add_rows(p, [(0, a, sol.w[0] - a @ sol.x + 1.0)])  # violated by 1 at the parent's optimum
+    assert solve_lp(child).iterations > 0 and solve_lp(child, warm=sol.basis).iterations > 0
+    run, ends = lp._DualSimplex.run, []
+
+    def recorded(core, *start):
+        try:
+            ends.append(run(core, *start))
+        except lp._RunFailed as e:
+            ends.append(str(e))
+            raise
+
+    monkeypatch.setattr(lp._DualSimplex, "run", recorded)
+    monkeypatch.setattr(lp, "PIV_TOL", np.inf)  # no pivot-row entry is eligible
+    failed = solve_lp(child, warm=sol.basis)
+    assert ends == ["no eligible column", "no eligible column"]  # the warm run, then its cold retry
+    assert failed.status == "numerical-failure"
+    assert failed.iterations == 0
+
+
 def test_warm_basis_with_keyless_w_restarts_cold():
     # w0 basic while the slack of its only row is basic too: column w0 lies in
     # the span of the basic slacks, so the basis is singular
@@ -453,8 +477,8 @@ def test_warm_basis_with_keyless_w_restarts_cold():
     basis = np.array([K + 0, K + N + 0])
     vstat = np.full(K + N + m, AT_LOWER, dtype=np.int8)
     vstat[basis] = BASIC
-    with pytest.raises(SingularBasisError):
-        lp._DualSimplex(p).run(basis, vstat, None, 100)
+    with pytest.raises(lp._RunFailed):
+        lp._DualSimplex(p).run(basis, vstat, None)
     sol = solve_lp(p, warm=BasisToken(basis, vstat, K, N))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-9)
@@ -718,9 +742,9 @@ def test_crash_start_is_dual_feasible_and_solves():
         seen["several rows per w"] += bool(np.any(np.bincount(p.row_w, minlength=N) > 1))
         seen["w without rows"] += bool(np.any(np.bincount(p.row_w, minlength=N) == 0))
         # the dual simplex reaches the optimum from the crash start itself, not by the cold retry
-        status, _ = lp._DualSimplex(p).run(tok.basis, tok.vstat, None, 50 * (K + N + m))
-        assert status == "optimal"
+        pivots = lp._DualSimplex(p).run(tok.basis, tok.vstat, None)
         sol = solve_lp(p, tok)
+        assert sol.iterations == pivots
         assert sol.objective == pytest.approx(scipy_optimum(p), abs=1e-7)
         assert certificate(p, sol)["ok"]
     assert all(count > 0 for count in seen.values()), seen

@@ -437,7 +437,7 @@ def test_node_lp_failure_is_a_status(monkeypatch):
     real = gobmd.lp.solve_lp
 
     def failing(problem, warm=None):
-        return dataclasses.replace(real(problem, warm), status="iteration-limit")
+        return dataclasses.replace(real(problem, warm), status="numerical-failure")
 
     monkeypatch.setattr(gobmd.lp, "solve_lp", failing)
     inst = generate_instance(GenConfig(8, 3, 10.0, 61))
@@ -454,7 +454,8 @@ def test_node_lp_failure_is_a_status(monkeypatch):
 
 @pytest.mark.parametrize("status", ["infeasible", "iteration-limit", "numerical-failure"])
 def test_failed_warm_node_lp_is_retried_cold(monkeypatch, status):
-    # every warm run inside solve_lp fails; solve_lp retries it cold, once
+    # every warm run inside solve_lp fails at the end its old status named, each
+    # now raising _RunFailed; solve_lp retries it cold, once
     warm_start, run = gobmd.lp._warm_start, gobmd.lp._DualSimplex.run
     warm_bases, warm_runs = [], []
 
@@ -464,14 +465,20 @@ def test_failed_warm_node_lp_is_retried_cold(monkeypatch, status):
             warm_bases.append(start[0])
         return start
 
-    def warm_fails(core, basis, vstat, inverse, max_iter):
+    def warm_fails(core, basis, vstat, inverse):
         warm_runs.append(bool(warm_bases) and basis is warm_bases[-1])
-        result = run(core, basis, vstat, inverse, max_iter)
         if not warm_runs[-1]:
-            return result
-        if status == "numerical-failure":
-            raise gobmd.lp.SingularBasisError("test")
-        return status, result[1]
+            return run(core, basis, vstat, inverse)
+        with monkeypatch.context() as m:
+            if status == "iteration-limit":
+                m.setattr(gobmd.lp, "MAX_ITER_PER_COLUMN", 0)  # the run's pivot limit is 0
+            elif status == "numerical-failure":
+                m.setattr(gobmd.lp, "COND_LIMIT", -1.0)  # every working matrix counts as singular
+                inverse = None  # so the run starts from a refactor
+            run(core, basis, vstat, inverse)
+        if status != "infeasible":
+            pytest.fail(f"the warm run did not fail at its {status} end")
+        raise gobmd.lp._RunFailed("no eligible column")  # a node LP has no real path to this end
 
     inst = generate_instance(GenConfig(8, 3, 10.0, 61))
     ref = solve_gobmd(inst)
